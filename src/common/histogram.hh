@@ -1,12 +1,14 @@
 /**
  * @file
  * A tiny fixed-bucket histogram used by the statistics package for
- * occupancy distributions (queue population, registers in use, ...).
+ * occupancy distributions (queue population, registers in use, ...),
+ * and the one percentile rule every latency report shares.
  */
 
 #ifndef SMT_COMMON_HISTOGRAM_HH
 #define SMT_COMMON_HISTOGRAM_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -86,6 +88,20 @@ class Histogram
     std::uint64_t sum_ = 0;
     std::uint64_t samples_ = 0;
 };
+
+/** Nearest-rank (inclusive) percentile `p` in [0, 100] of an
+ *  ascending-sorted sample; 0 when the sample is empty. */
+inline double
+percentile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0.0;
+    const double rank = std::ceil(p / 100.0 * sorted.size());
+    std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+    if (idx >= sorted.size())
+        idx = sorted.size() - 1;
+    return sorted[idx];
+}
 
 } // namespace smt
 

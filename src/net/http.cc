@@ -36,84 +36,6 @@ trim(const std::string &s)
     return s.substr(b, e - b);
 }
 
-/** Parse "Name: value" header lines until the blank line. */
-bool
-readHeaderBlock(BufferedReader &in, Headers &headers)
-{
-    std::string line;
-    for (int count = 0; count < 512; ++count) {
-        if (!in.readLine(line))
-            return false;
-        if (line.empty())
-            return true;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            return false;
-        headers.add(trim(line.substr(0, colon)),
-                    trim(line.substr(colon + 1)));
-    }
-    return false; // absurd header count: treat as malformed.
-}
-
-/** Append the chunked-framed body; false on torn/malformed input. */
-bool
-readChunkedBody(BufferedReader &in, std::string &body,
-                std::size_t max_body)
-{
-    std::string line;
-    while (true) {
-        if (!in.readLine(line))
-            return false;
-        // Chunk extensions (";...") are permitted and ignored.
-        const std::string size_text = line.substr(0, line.find(';'));
-        char *end = nullptr;
-        const unsigned long long size =
-            std::strtoull(size_text.c_str(), &end, 16);
-        if (end == size_text.c_str())
-            return false;
-        if (size == 0)
-            break;
-        // Overflow-proof cap check: a chunk header of 2^64-1 must not
-        // wrap the sum past max_body.
-        if (size > max_body - body.size())
-            return false;
-        if (!in.readExact(body, size))
-            return false;
-        if (!in.readLine(line) || !line.empty())
-            return false; // chunk data must end with CRLF.
-    }
-    // Trailers (we ignore their content) up to the final blank line.
-    while (true) {
-        if (!in.readLine(line))
-            return false;
-        if (line.empty())
-            return true;
-    }
-}
-
-/** Shared body framing for requests and responses. */
-bool
-readBody(BufferedReader &in, const Headers &headers, std::string &body,
-         std::size_t max_body, bool response_to_eof_ok)
-{
-    if (iequals(headers.get("Transfer-Encoding"), "chunked"))
-        return readChunkedBody(in, body, max_body);
-    if (headers.has("Content-Length")) {
-        const std::string text = headers.get("Content-Length");
-        char *end = nullptr;
-        const unsigned long long len =
-            std::strtoull(text.c_str(), &end, 10);
-        if (end == text.c_str() || *end != '\0' || len > max_body)
-            return false;
-        return in.readExact(body, len);
-    }
-    // No framing headers: a request has no body; a response is framed
-    // by connection close (pre-keep-alive style).
-    if (response_to_eof_ok)
-        return in.readToEof(body);
-    return true;
-}
-
 void
 appendChunked(std::string &out, const std::string &body)
 {
@@ -259,43 +181,13 @@ serialize(const HttpResponse &resp)
     return out;
 }
 
-bool
-readRequest(BufferedReader &in, HttpRequest &out, std::size_t max_body)
-{
-    std::string line;
-    if (!in.readLine(line) || line.empty())
-        return false;
-
-    const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 =
-        sp1 == std::string::npos ? std::string::npos
-                                 : line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos)
-        return false;
-    HttpRequest req;
-    req.method = line.substr(0, sp1);
-    req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::string version = line.substr(sp2 + 1);
-    if (version.rfind("HTTP/1.", 0) != 0 || req.target.empty())
-        return false;
-
-    if (!readHeaderBlock(in, req.headers))
-        return false;
-    if (!readBody(in, req.headers, req.body, max_body,
-                  /*response_to_eof_ok=*/false))
-        return false;
-    out = std::move(req);
-    return true;
-}
-
-// Mirrors readLine()'s cap: an unterminated run longer than this is
-// hostile, not merely slow.
+// An unterminated run longer than this is hostile, not merely slow.
 constexpr std::size_t kMaxLineBytes = 64 * 1024;
-// Mirrors readHeaderBlock()'s cap on header-block lines.
+// Header-block lines (the terminating blank line included).
 constexpr int kMaxHeaderLines = 512;
 
 bool
-RequestParser::nextLine(std::string &line)
+HttpParser::nextLine(std::string &line)
 {
     const std::size_t nl = buf_.find('\n', pos_);
     if (nl == std::string::npos) {
@@ -311,17 +203,54 @@ RequestParser::nextLine(std::string &line)
     return true;
 }
 
-void
-RequestParser::enterBodyPhase()
+bool
+HttpParser::parseStartLine(const std::string &line)
 {
-    // Framing decision, in readBody()'s order: chunked wins, then a
-    // declared length, else a request carries no body.
-    if (iequals(req_.headers.get("Transfer-Encoding"), "chunked")) {
+    if (kind_ == Kind::Response) {
+        // "HTTP/1.x <status>[ <reason>]"; the reason may be absent.
+        if (line.rfind("HTTP/1.", 0) != 0)
+            return false;
+        const std::size_t sp1 = line.find(' ');
+        if (sp1 == std::string::npos)
+            return false;
+        const long code = std::strtol(line.c_str() + sp1 + 1, nullptr, 10);
+        if (code < 100 || code > 599)
+            return false;
+        code_ = static_cast<int>(code);
+        const std::size_t sp2 = line.find(' ', sp1 + 1);
+        if (sp2 != std::string::npos)
+            reason_ = line.substr(sp2 + 1);
+        return true;
+    }
+    // "<method> <target> HTTP/1.x"
+    const std::size_t sp1 = line.find(' ');
+    const std::size_t sp2 =
+        sp1 == std::string::npos ? std::string::npos
+                                 : line.find(' ', sp1 + 1);
+    if (line.empty() || sp2 == std::string::npos)
+        return false;
+    method_ = line.substr(0, sp1);
+    target_ = line.substr(sp1 + 1, sp2 - sp1 - 1);
+    return line.compare(sp2 + 1, 7, "HTTP/1.") == 0 && !target_.empty();
+}
+
+void
+HttpParser::enterBodyPhase()
+{
+    // HEAD responses and 204/304 never carry a body, whatever their
+    // framing headers say.
+    if (kind_ == Kind::Response
+        && (headResponse_ || code_ == 204 || code_ == 304)) {
+        status_ = Status::Complete;
+        return;
+    }
+    // Chunked wins, then a declared length, else no body at all.
+    if (iequals(headers_.get("Transfer-Encoding"), "chunked")) {
         state_ = State::ChunkSize;
         return;
     }
-    if (req_.headers.has("Content-Length")) {
-        const std::string text = req_.headers.get("Content-Length");
+    if (headers_.has("Content-Length")) {
+        const std::string text = headers_.get("Content-Length");
         char *end = nullptr;
         const unsigned long long len =
             std::strtoull(text.c_str(), &end, 10);
@@ -341,26 +270,15 @@ RequestParser::enterBodyPhase()
 }
 
 void
-RequestParser::advance()
+HttpParser::advance()
 {
     std::string line;
     while (status_ == Status::NeedMore) {
         switch (state_) {
-        case State::RequestLine: {
+        case State::StartLine: {
             if (!nextLine(line))
                 return;
-            const std::size_t sp1 = line.find(' ');
-            const std::size_t sp2 =
-                sp1 == std::string::npos ? std::string::npos
-                                         : line.find(' ', sp1 + 1);
-            if (line.empty() || sp2 == std::string::npos) {
-                status_ = Status::Error;
-                return;
-            }
-            req_.method = line.substr(0, sp1);
-            req_.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-            const std::string version = line.substr(sp2 + 1);
-            if (version.rfind("HTTP/1.", 0) != 0 || req_.target.empty()) {
+            if (!parseStartLine(line)) {
                 status_ = Status::Error;
                 return;
             }
@@ -385,8 +303,8 @@ RequestParser::advance()
                 status_ = Status::Error;
                 return;
             }
-            req_.headers.add(trim(line.substr(0, colon)),
-                             trim(line.substr(colon + 1)));
+            headers_.add(trim(line.substr(0, colon)),
+                         trim(line.substr(colon + 1)));
             break;
         }
         case State::FixedBody: {
@@ -394,7 +312,7 @@ RequestParser::advance()
             if (avail == 0)
                 return;
             const std::size_t take = std::min(avail, bodyRemaining_);
-            req_.body.append(buf_, pos_, take);
+            body_.append(buf_, pos_, take);
             pos_ += take;
             bodyRemaining_ -= take;
             if (bodyRemaining_ == 0)
@@ -418,8 +336,9 @@ RequestParser::advance()
                 state_ = State::Trailers;
                 break;
             }
-            // Overflow-proof cap check, same as readChunkedBody().
-            if (size > maxBody_ - req_.body.size()) {
+            // Overflow-proof cap check: a chunk header of 2^64-1 must
+            // not wrap the sum past maxBody_.
+            if (size > maxBody_ - body_.size()) {
                 status_ = Status::Error;
                 return;
             }
@@ -432,7 +351,7 @@ RequestParser::advance()
             if (avail == 0)
                 return;
             const std::size_t take = std::min(avail, bodyRemaining_);
-            req_.body.append(buf_, pos_, take);
+            body_.append(buf_, pos_, take);
             pos_ += take;
             bodyRemaining_ -= take;
             if (bodyRemaining_ == 0)
@@ -450,6 +369,7 @@ RequestParser::advance()
             break;
         }
         case State::Trailers: {
+            // Trailer content is ignored up to the final blank line.
             if (!nextLine(line))
                 return;
             if (line.empty())
@@ -460,8 +380,8 @@ RequestParser::advance()
     }
 }
 
-RequestParser::Status
-RequestParser::feed(const char *data, std::size_t n)
+HttpParser::Status
+HttpParser::feed(const char *data, std::size_t n)
 {
     if (status_ == Status::Error)
         return status_;
@@ -480,59 +400,60 @@ RequestParser::feed(const char *data, std::size_t n)
     return status_;
 }
 
-HttpRequest
-RequestParser::takeRequest()
+void
+HttpParser::resume()
 {
-    smt_assert(status_ == Status::Complete,
-               "takeRequest without a complete message");
-    HttpRequest out = std::move(req_);
-    req_ = HttpRequest();
+    headers_ = Headers();
+    body_.clear();
+    reason_.clear();
     buf_.erase(0, pos_);
     pos_ = 0;
-    state_ = State::RequestLine;
+    state_ = State::StartLine;
     status_ = Status::NeedMore;
     bodyRemaining_ = 0;
     headerLines_ = 0;
     advance(); // pipelined bytes may already complete the next one.
+}
+
+HttpRequest
+HttpParser::takeRequest()
+{
+    smt_assert(kind_ == Kind::Request && status_ == Status::Complete,
+               "takeRequest without a complete request");
+    HttpRequest out;
+    out.method = std::move(method_);
+    out.target = std::move(target_);
+    out.headers = std::move(headers_);
+    out.body = std::move(body_);
+    resume();
+    return out;
+}
+
+HttpResponse
+HttpParser::takeResponse()
+{
+    smt_assert(kind_ == Kind::Response && status_ == Status::Complete,
+               "takeResponse without a complete response");
+    HttpResponse out;
+    out.status = code_;
+    out.reason = std::move(reason_);
+    out.headers = std::move(headers_);
+    out.body = std::move(body_);
+    resume();
     return out;
 }
 
 bool
-readResponse(BufferedReader &in, HttpResponse &out, bool head_request,
-             std::size_t max_body)
+readMessage(Socket &sock, HttpParser &parser)
 {
-    std::string line;
-    if (!in.readLine(line))
-        return false;
-    if (line.rfind("HTTP/1.", 0) != 0)
-        return false;
-    const std::size_t sp1 = line.find(' ');
-    if (sp1 == std::string::npos)
-        return false;
-    HttpResponse resp;
-    char *end = nullptr;
-    resp.status =
-        static_cast<int>(std::strtol(line.c_str() + sp1 + 1, &end, 10));
-    if (resp.status < 100 || resp.status > 599)
-        return false;
-    const std::size_t sp2 = line.find(' ', sp1 + 1);
-    if (sp2 != std::string::npos)
-        resp.reason = line.substr(sp2 + 1);
-
-    if (!readHeaderBlock(in, resp.headers))
-        return false;
-    // HEAD responses and 204/304 never carry a body regardless of
-    // their framing headers.
-    if (!head_request && resp.status != 204 && resp.status != 304) {
-        const bool framed = resp.headers.has("Content-Length")
-                            || resp.headers.has("Transfer-Encoding");
-        if (!readBody(in, resp.headers, resp.body, max_body,
-                      /*response_to_eof_ok=*/!framed
-                          && wantsClose(resp.headers)))
+    char chunk[16 * 1024];
+    while (parser.status() == HttpParser::Status::NeedMore) {
+        const long n = sock.recvSome(chunk, sizeof chunk);
+        if (n <= 0)
             return false;
+        parser.feed(chunk, static_cast<std::size_t>(n));
     }
-    out = std::move(resp);
-    return true;
+    return parser.status() == HttpParser::Status::Complete;
 }
 
 } // namespace smt::net

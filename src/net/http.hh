@@ -1,6 +1,6 @@
 /**
  * @file
- * HTTP/1.1 messages: parse and serialize over blocking sockets.
+ * HTTP/1.1 messages: one incremental parser and a serializer.
  *
  * Deliberately the useful subset and nothing more: request line +
  * status line, case-insensitive headers, bodies framed by
@@ -12,7 +12,9 @@
  *
  * Reading is tolerant of torn peers (a connection dropped mid-message
  * reads as failure, never a crash or a half-parsed message); writing
- * always emits one complete, correctly framed message.
+ * always emits one complete, correctly framed message. The server and
+ * the client parse through the same HttpParser, so the two directions
+ * cannot drift apart.
  */
 
 #ifndef SMT_NET_HTTP_HH
@@ -88,44 +90,33 @@ std::string serialize(const HttpRequest &req);
 std::string serialize(const HttpResponse &resp);
 
 /**
- * Read one complete message. False on EOF, a torn connection, or a
- * malformed message — the caller must drop the connection. Bodies
- * larger than `max_body` bytes are rejected as malformed.
- */
-bool readRequest(BufferedReader &in, HttpRequest &out,
-                 std::size_t max_body = kMaxBodyBytes);
-
-/** `head_request` marks the response to a HEAD: framing headers
- *  describe the entity, but no body bytes follow. */
-bool readResponse(BufferedReader &in, HttpResponse &out,
-                  bool head_request = false,
-                  std::size_t max_body = kMaxBodyBytes);
-
-/**
- * Incremental request parser — the event-loop server's front end.
+ * Incremental HTTP/1.1 message parser — the one grammar both the
+ * event-loop server (requests) and HttpClient (responses) read with.
  *
- * feed() bytes exactly as they arrive off a non-blocking socket, in
- * any chunking; the parser consumes them through the same grammar
- * readRequest() accepts (request line, capped header block, bodies
- * framed by Content-Length or chunked encoding with trailers) and
- * reports three-way status: a complete message, need-more-bytes, or
- * malformed. That last distinction is the reason this class exists —
- * the pull-based readRequest() cannot tell a torn stream from a
- * hostile one without blocking for more input. Accept/reject parity
- * with readRequest() is pinned by a property test over generated
- * corpora fed at every chunking.
+ * feed() bytes exactly as they arrive off a socket, in any chunking;
+ * the parser consumes the start line (request line, or a status line
+ * with an `HTTP/1.` prefix and a status in 100-599), a capped header
+ * block, and a body framed by chunked encoding (extensions and
+ * trailers allowed) or Content-Length. A message with neither framing
+ * header has no body; neither do responses to HEAD and 204/304
+ * responses, whatever their framing headers say. status() is
+ * three-way — a complete message, need-more-bytes, or malformed — so
+ * a torn stream is never mistaken for a hostile one.
  *
- * Pipelining: bytes past one complete message stay buffered;
- * takeRequest() hands the message out and immediately resumes on the
- * leftover, so status() afterwards already describes the next one.
+ * Pipelining: bytes past one complete message stay buffered; take*()
+ * hands the message out and immediately resumes on the leftover, so
+ * status() afterwards already describes the next one.
  */
-class RequestParser
+class HttpParser
 {
   public:
     enum class Status { NeedMore, Complete, Error };
+    /** Which start line the messages open with. */
+    enum class Kind { Request, Response };
 
-    explicit RequestParser(std::size_t max_body = kMaxBodyBytes)
-        : maxBody_(max_body)
+    explicit HttpParser(Kind kind = Kind::Request,
+                        std::size_t max_body = kMaxBodyBytes)
+        : kind_(kind), maxBody_(max_body)
     {
     }
 
@@ -138,13 +129,19 @@ class RequestParser
     /** Bytes buffered beyond what parsed messages consumed. */
     std::size_t bufferedBytes() const { return buf_.size() - pos_; }
 
-    /** Move out the parsed message (status() must be Complete) and
-     *  resume parsing any pipelined bytes already buffered. */
+    /** Parse the next response as the answer to a HEAD: its framing
+     *  headers describe the entity, but no body bytes follow. Takes
+     *  effect for a response whose header block is not yet complete. */
+    void setHeadResponse(bool head) { headResponse_ = head; }
+
+    /** Move out the parsed message (status() must be Complete, of the
+     *  matching kind) and resume on any pipelined bytes. */
     HttpRequest takeRequest();
+    HttpResponse takeResponse();
 
   private:
     enum class State {
-        RequestLine,
+        StartLine,
         Headers,
         FixedBody,
         ChunkSize,
@@ -156,18 +153,36 @@ class RequestParser
     /** Extract one terminated line; false = need more bytes (or the
      *  unterminated run blew the line cap, which sets Error). */
     bool nextLine(std::string &line);
+    bool parseStartLine(const std::string &line);
     void advance();
     void enterBodyPhase();
+    void resume();
 
+    Kind kind_;
     std::size_t maxBody_;
+    bool headResponse_ = false;
     Status status_ = Status::NeedMore;
-    State state_ = State::RequestLine;
+    State state_ = State::StartLine;
     std::string buf_;
     std::size_t pos_ = 0;
-    HttpRequest req_;
     std::size_t bodyRemaining_ = 0;
     int headerLines_ = 0;
+
+    // The message being parsed: request-line or status-line fields,
+    // then the headers and body both kinds share.
+    std::string method_, target_;
+    int code_ = 0;
+    std::string reason_;
+    Headers headers_;
+    std::string body_;
 };
+
+/**
+ * Read from `sock` until `parser` holds a complete message (at once,
+ * when a pipelined one is already buffered). False on EOF, a socket
+ * error or malformed bytes — the caller must drop the connection.
+ */
+bool readMessage(Socket &sock, HttpParser &parser);
 
 } // namespace smt::net
 

@@ -55,6 +55,7 @@ HttpClient::tryOnce(const HttpRequest &req, bool fresh_connection)
         conn_ = connectTcp(host_, port_, &error_);
         if (!conn_.valid())
             return std::nullopt;
+        parser_ = HttpParser(HttpParser::Kind::Response);
     }
 
     HttpRequest outgoing = req;
@@ -68,16 +69,19 @@ HttpClient::tryOnce(const HttpRequest &req, bool fresh_connection)
         return std::nullopt;
     }
 
-    BufferedReader reader(conn_);
-    HttpResponse resp;
-    if (!readResponse(reader, resp, req.method == "HEAD")) {
+    parser_.setHeadResponse(req.method == "HEAD");
+    if (!readMessage(conn_, parser_)) {
         conn_.close();
         error_ = "connection closed before a complete response";
         if (!fresh_connection)
             return tryOnce(req, true);
         return std::nullopt;
     }
-    if (wantsClose(resp.headers))
+    // Bytes past the response answer nothing we sent: the connection's
+    // framing can no longer be trusted.
+    const bool surplus = parser_.bufferedBytes() != 0;
+    HttpResponse resp = parser_.takeResponse();
+    if (surplus || wantsClose(resp.headers))
         conn_.close();
     error_.clear();
     return resp;

@@ -7,7 +7,9 @@
  * *reused* connection turns out to be dead (the server timed it out or
  * restarted between requests), it transparently reconnects and retries
  * once — every store operation is idempotent, so the retry is safe. A
- * failure on a fresh connection is reported, not retried.
+ * failure on a fresh connection is reported, not retried. Responses
+ * are read through a per-connection HttpParser, the same grammar the
+ * server parses requests with.
  */
 
 #ifndef SMT_NET_HTTP_CLIENT_HH
@@ -64,6 +66,7 @@ class HttpClient
     std::string host_;
     std::uint16_t port_;
     Socket conn_;
+    HttpParser parser_{HttpParser::Kind::Response}; ///< reset per connection.
     std::string error_;
 };
 

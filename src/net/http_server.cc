@@ -222,15 +222,14 @@ HttpServer::readReady(std::uint64_t id)
     while (true) {
         const long n = conn.sock.recvSome(buf, sizeof buf);
         if (n > 0) {
-            const RequestParser::Status st =
+            const HttpParser::Status st =
                 conn.parser.feed(buf, static_cast<std::size_t>(n));
-            if (st == RequestParser::Status::Complete) {
+            if (st == HttpParser::Status::Complete) {
                 startDispatch(id, conn);
                 return;
             }
-            if (st == RequestParser::Status::Error) {
-                // Malformed input: drop without a response, exactly
-                // like the blocking server tearing the connection.
+            if (st == HttpParser::Status::Error) {
+                // Malformed input: drop without a response.
                 closeConn(id);
                 return;
             }
@@ -317,13 +316,13 @@ HttpServer::writeReady(std::uint64_t id)
     }
     conn.out.clear();
     conn.outPos = 0;
-    const RequestParser::Status st = conn.parser.status();
-    if (st == RequestParser::Status::Complete) {
+    const HttpParser::Status st = conn.parser.status();
+    if (st == HttpParser::Status::Complete) {
         // A pipelined request was already buffered behind this one.
         startDispatch(id, conn);
         return;
     }
-    if (st == RequestParser::Status::Error) {
+    if (st == HttpParser::Status::Error) {
         closeConn(id);
         return;
     }

@@ -3,8 +3,8 @@
  * A non-blocking event-loop HTTP/1.1 server.
  *
  * One loop thread multiplexes every connection through poll():
- * accepting, feeding bytes into per-connection incremental request
- * parsers, and streaming responses back out — no thread per
+ * accepting, feeding bytes into per-connection HttpParsers (the same
+ * incremental grammar HttpClient reads responses with), and streaming responses back out — no thread per
  * connection, so hundreds of concurrent peers cost hundreds of fds,
  * not hundreds of stacks. Each connection is a small state machine:
  *
@@ -25,11 +25,10 @@
  * slow-loris clients without stalling anyone else. Dispatching
  * connections are never reaped (the handler owns the clock there).
  *
- * The wire behavior is unchanged from the blocking server: same
- * parser grammar (malformed input drops the connection without a
- * response), same keep-alive and Connection: close semantics, same
- * metrics names. stop() is clean and prompt, so tests can start a
- * server on an ephemeral port (port 0 + port()) and tear it down
+ * Malformed input drops the connection without a response; keep-alive
+ * follows HTTP/1.1 defaults unless either side says Connection: close.
+ * stop() is clean and prompt, so tests can start a server on an
+ * ephemeral port (port 0 + port()) and tear it down
  * deterministically.
  */
 
@@ -118,7 +117,7 @@ class HttpServer
         enum class State { Reading, Dispatching, Writing };
 
         Socket sock;
-        RequestParser parser;
+        HttpParser parser;
         State state = State::Reading;
         std::string out;          ///< serialized response being written.
         std::size_t outPos = 0;

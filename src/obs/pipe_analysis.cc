@@ -1,10 +1,10 @@
 #include "obs/pipe_analysis.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 
+#include "common/histogram.hh"
 #include "obs/chrome_trace.hh"
 
 namespace smt::obs
@@ -52,19 +52,6 @@ getUIntArray(const sweep::Json &j, const char *key)
     for (std::size_t i = 0; i < arr.size(); ++i)
         out.push_back(arr[i].isNumber() ? arr[i].asUInt() : 0);
     return out;
-}
-
-/** Inclusive percentile of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = std::ceil(p / 100.0 * sorted.size());
-    std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
 }
 
 LatencySummary

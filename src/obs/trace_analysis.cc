@@ -1,9 +1,9 @@
 #include "obs/trace_analysis.hh"
 
+#include "common/histogram.hh"
 #include "obs/chrome_trace.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -83,19 +83,6 @@ classifyLine(const std::string &line, std::vector<TraceEvent> &events,
         return true;
     }
     return false;
-}
-
-/** Inclusive percentile of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = std::ceil(p / 100.0 * sorted.size());
-    std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
 }
 
 /** The trace id to analyze: the requested one, else the id with the
@@ -209,6 +196,8 @@ DigestTimeline::terminal() const
         return "stored";
     if (hit)
         return "hit";
+    if (run && storeless)
+        return "run";
     return "";
 }
 
@@ -317,13 +306,21 @@ analyzeTrace(const TraceSet &set, const std::string &trace_id)
     }
     out.wallSeconds = any ? ts_max - ts_min : 0.0;
 
+    const bool storeless = std::none_of(
+        digests.begin(), digests.end(), [](const auto &entry) {
+            const DigestTimeline &d = entry.second;
+            return d.hit || d.claimed || d.stored;
+        });
     for (auto &[digest, timeline] : digests) {
         (void)digest;
+        timeline.storeless = storeless;
         const std::string term = timeline.terminal();
         if (term == "stored")
             ++out.terminalStored;
         else if (term == "hit")
             ++out.terminalHit;
+        else if (term == "run")
+            ++out.terminalRun;
         else
             ++out.nonTerminal;
         out.digests.push_back(timeline);
@@ -430,6 +427,8 @@ analysisSummary(const TraceAnalysis &analysis, const TraceSet &set,
                               analysis.terminalStored)));
     digests.set("hit", sweep::Json(static_cast<std::uint64_t>(
                            analysis.terminalHit)));
+    digests.set("run", sweep::Json(static_cast<std::uint64_t>(
+                           analysis.terminalRun)));
     digests.set("nonTerminal",
                 sweep::Json(static_cast<std::uint64_t>(
                     analysis.nonTerminal)));
@@ -517,9 +516,10 @@ analysisReport(const TraceAnalysis &analysis, const TraceSet &set)
     }
     std::snprintf(buf, sizeof buf,
                   "digests: %zu total, %zu stored, %zu hit, "
-                  "%zu non-terminal\n",
+                  "%zu run (no store), %zu non-terminal\n",
                   analysis.digests.size(), analysis.terminalStored,
-                  analysis.terminalHit, analysis.nonTerminal);
+                  analysis.terminalHit, analysis.terminalRun,
+                  analysis.nonTerminal);
     add(buf);
 
     if (!analysis.workers.empty()) {
@@ -585,7 +585,7 @@ analysisReport(const TraceAnalysis &analysis, const TraceSet &set)
 
     if (analysis.nonTerminal > 0) {
         add("\nWARNING: digests that never reached a terminal state "
-            "(stored/hit):\n");
+            "(stored/hit, or run without a store):\n");
         for (const DigestTimeline &d : analysis.digests) {
             if (!d.terminal().empty())
                 continue;

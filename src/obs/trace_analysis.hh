@@ -110,8 +110,12 @@ struct DigestTimeline
     double runDurUs = -1.0;   ///< run span dur_us.
     double firstTs = 0.0;     ///< wall clock of its first event.
     double lastTs = 0.0;      ///< wall clock of its last event.
+    /** Its sweep ran without a store (no hit, claimed or stored span
+     *  anywhere in the trace), so nothing follows `run`. */
+    bool storeless = false;
 
-    /** "stored", "hit", or "" when the digest never finished. */
+    /** "stored", "hit", "run" (storeless sweeps only), or "" when the
+     *  digest never finished. */
     std::string terminal() const;
 };
 
@@ -162,6 +166,7 @@ struct TraceAnalysis
     std::vector<DigestTimeline> digests;
     std::size_t terminalStored = 0;
     std::size_t terminalHit = 0;
+    std::size_t terminalRun = 0; ///< settled by `run`: no store.
     std::size_t nonTerminal = 0; ///< started but never finished.
 
     std::vector<WorkerLedger> workers;

@@ -8,6 +8,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/histogram.hh"
 #include "common/lz.hh"
@@ -181,6 +182,18 @@ TEST(Histogram, WeightedSamples)
     h.sample(2, 5);
     EXPECT_EQ(h.samples(), 5u);
     EXPECT_DOUBLE_EQ(h.mean(), 2.0);
+}
+
+TEST(Percentile, NearestRankOfASortedSample)
+{
+    const std::vector<double> ten = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    EXPECT_EQ(percentile(ten, 0.0), 1.0);
+    EXPECT_EQ(percentile(ten, 50.0), 5.0);
+    EXPECT_EQ(percentile(ten, 90.0), 9.0);
+    EXPECT_EQ(percentile(ten, 99.0), 10.0);
+    EXPECT_EQ(percentile(ten, 100.0), 10.0);
+    EXPECT_EQ(percentile({7.5}, 50.0), 7.5);
+    EXPECT_EQ(percentile({}, 50.0), 0.0);
 }
 
 TEST(Histogram, ResetClears)

@@ -172,6 +172,50 @@ TEST(TraceAnalysis, ReconstructsTerminalAndNonTerminalLifecycles)
     }
 }
 
+TEST(TraceAnalysis, StorelessSweepSettlesEachDigestAtItsRun)
+{
+    // `smtsweep --no-cache --trace-out`: every digest is queued and
+    // run, nothing is claimed, hit or stored. --check must pass.
+    obs::TraceSet set;
+    std::string text;
+    for (const std::string &digest : {kD1, kD2}) {
+        text += span("queued", kTrace, digest, 100.0, 1.0);
+        text += span("run", kTrace, digest, 101.0, 2.0, 1e6, "h1", 100,
+                     1.0);
+    }
+    set.addText(text);
+
+    const obs::TraceAnalysis a = obs::analyzeTrace(set);
+    ASSERT_EQ(a.digests.size(), 2u);
+    EXPECT_EQ(a.terminalRun, 2u);
+    EXPECT_EQ(a.nonTerminal, 0u);
+    for (const obs::DigestTimeline &d : a.digests)
+        EXPECT_EQ(d.terminal(), "run") << d.digest;
+    const sweep::Json doc = obs::analysisSummary(a, set);
+    EXPECT_EQ(doc.at("digests").at("run").asUInt(), 2u);
+    EXPECT_EQ(doc.at("digests").at("nonTerminal").asUInt(), 0u);
+}
+
+TEST(TraceAnalysis, CachedSweepStillFlagsARunThatWasNeverStored)
+{
+    // With a store in play (here only a hit shows it), a run that
+    // never reached `stored` is a lost worker, claimed or not.
+    obs::TraceSet set;
+    std::string text;
+    text += span("hit", kTrace, kD1, 100.0, 1.0, 40.0);
+    text += span("queued", kTrace, kD2, 100.1, 1.1);
+    text += span("run", kTrace, kD2, 101.0, 2.0, 1e6, "h1", 100, 1.0);
+    text += span("claimed", kTrace, kD3, 100.2, 1.2, 50.0);
+    text += span("run", kTrace, kD3, 102.0, 3.0, 1e6, "h1", 100, 1.0);
+    set.addText(text);
+
+    const obs::TraceAnalysis a = obs::analyzeTrace(set);
+    ASSERT_EQ(a.digests.size(), 3u);
+    EXPECT_EQ(a.terminalHit, 1u);
+    EXPECT_EQ(a.terminalRun, 0u);
+    EXPECT_EQ(a.nonTerminal, 2u);
+}
+
 TEST(TraceAnalysis, EmptyTraceIdPicksTheIdWithTheMostSpans)
 {
     obs::TraceSet set;

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.hh"
 #include "net/http_client.hh"
 #include "net/http_server.hh"
 #include "sim/simspeed.hh"
@@ -234,16 +235,6 @@ struct LevelResult
     double p50 = 0, p90 = 0, p99 = 0, max = 0;
     std::int64_t server_requests_delta = -1;
 };
-
-double
-percentile(std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    const std::size_t idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 /** One request with the token attached; nullopt on transport error. */
 std::optional<net::HttpResponse>
@@ -569,9 +560,9 @@ main(int argc, char **argv)
                        w.latencies_us.end());
         }
         std::sort(all.begin(), all.end());
-        level.p50 = percentile(all, 0.50);
-        level.p90 = percentile(all, 0.90);
-        level.p99 = percentile(all, 0.99);
+        level.p50 = percentile(all, 50.0);
+        level.p90 = percentile(all, 90.0);
+        level.p99 = percentile(all, 99.0);
         level.max = all.empty() ? 0 : all.back();
         if (before >= 0 && after >= 0)
             level.server_requests_delta = after - before;

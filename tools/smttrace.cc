@@ -9,7 +9,8 @@
  *       by trace id, and print the analysis: per-worker utilization
  *       ledger, straggler/skew, store latency percentiles, claim
  *       contention, the critical-path digest chain, and any digest
- *       that never reached a terminal state (stored/hit).
+ *       that never reached a terminal state (stored/hit, or run
+ *       when the sweep had no store).
  *
  * Readers tolerate malformed, torn, and foreign lines (counted,
  * skipped, never fatal) and collapse byte-identical duplicates — a
@@ -62,7 +63,8 @@ usage(int code)
         "                  `smtsweep --stall-report --json` artifact\n"
         "                  into the summary\n"
         "  --check         exit 1 if any digest never reached a\n"
-        "                  terminal state (stored/hit), or if no\n"
+        "                  terminal state (stored/hit; run when\n"
+        "                  the sweep had no store), or if no\n"
         "                  digest lifecycle was traced at all\n"
         "  --quiet         suppress the text report\n"
         "  --help, -h      print this help\n");
