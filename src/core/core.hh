@@ -13,7 +13,7 @@
  * registered (fetch, issue) policy pairs, the PolicyRegistry dispatch
  * table supplies a *specialized* engine whose fetch/issue stages are
  * instantiated over the concrete policy classes — the per-thread
- * priorityKey() and per-queue order() calls on the hot path resolve
+ * priorityKey() and per-candidate issue key() calls on the hot path resolve
  * statically. Unknown pairs (plugin policies) take the *generic*
  * engine, the same stage code dispatching through the policy vtables.
  * Both engines are cycle-identical by construction; the golden-stats

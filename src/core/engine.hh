@@ -7,8 +7,8 @@
  *
  *  - a *specialized* engine (engine_impl.hh) instantiated over the
  *    concrete fetch/issue policy classes of a registered paper policy
- *    pair — the per-thread priorityKey() calls in fetch and the two
- *    order() calls in issue resolve statically and inline;
+ *    pair — the per-thread priorityKey() calls in fetch and the
+ *    per-candidate key() calls in issue resolve statically and inline;
  *  - the *generic* engine — the same template instantiated over the
  *    abstract policy interfaces — for plugin policies the dispatch
  *    table does not know.

@@ -7,7 +7,7 @@
  * stages see their policy through:
  *
  *  - CoreEngineT<ICountPolicy, OldestFirstPolicy> — the stages hold a
- *    reference to the final concrete class, so priorityKey()/order()
+ *    reference to the final concrete class, so priorityKey()/key()
  *    calls devirtualize and inline (the specialized engines);
  *  - CoreEngineT<FetchPolicy, IssuePolicy> — the abstract interfaces,
  *    i.e. the classic virtual-dispatch core (the generic engine).

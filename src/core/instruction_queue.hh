@@ -5,11 +5,17 @@
  * selection may only search the first `searchWindow` entries — the BIGQ
  * scheme of Section 5.3 doubles the entry count while keeping the
  * search window at 32, turning the back half into a dispatch buffer.
+ *
+ * Each entry is an IqSlot that carries, inline, the fields the
+ * per-cycle issue walk reads, so the release pass, the window gather,
+ * the readiness test and IQPOSN's position scan never touch a DynInst.
  */
 
 #ifndef SMT_CORE_INSTRUCTION_QUEUE_HH
 #define SMT_CORE_INSTRUCTION_QUEUE_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -18,28 +24,105 @@
 namespace smt
 {
 
-/** An age-ordered instruction queue with a bounded search window. */
+/** The wakeup cell of an absent source operand: ready since cycle 0. */
+inline constexpr Cycle kAlwaysReady = 0;
+
+/**
+ * One queue entry: the fields the per-cycle issue walk reads, inline,
+ * so release, windowing and the readiness test never dereference the
+ * entry's DynInst (`inst`).
+ *  - seq, tid, flags and renameCycle mirror DynInst fields fixed at
+ *    rename;
+ *  - release mirrors DynInst::iqReleaseCycle (kCycleNever while the
+ *    instruction waits in the queue); issue and the requeue paths
+ *    write both (PipelineState::requeue);
+ *  - wake1/wake2 are the sources' wakeup cells: the `readyAt` slot of
+ *    each source's physical register (RegisterFileState::readyCell),
+ *    or kAlwaysReady for an absent source. Every readyAt writer updates
+ *    the cell in place, so readiness needs no mirror;
+ *  - blockStore/blockSeq are a load's disambiguation state (see
+ *    IssueStage::disambiguated).
+ */
+struct IqSlot
+{
+    static constexpr std::uint8_t kMemory = 1u << 0;
+    static constexpr std::uint8_t kControl = 1u << 1;
+    /** A load not yet shown free of older same-address stores. */
+    static constexpr std::uint8_t kAwaitsDisambiguation = 1u << 2;
+
+    Cycle release = kCycleNever;
+    InstSeqNum seq = 0;
+    const Cycle *wake1 = &kAlwaysReady;
+    const Cycle *wake2 = &kAlwaysReady;
+    DynInst *inst = nullptr;
+    Cycle renameCycle = 0;
+    /** Older conflicting store last seen by a blocked load, and its
+     *  seq (pooled DynInsts are reused, so the pointer alone cannot
+     *  say whether it still names that store). */
+    const DynInst *blockStore = nullptr;
+    InstSeqNum blockSeq = 0;
+    ThreadID tid = 0;
+    std::uint8_t flags = 0;
+
+    /** Waiting for issue (not issued and awaiting release). */
+    bool inQueue() const { return release == kCycleNever; }
+    bool isMemory() const { return flags & kMemory; }
+    bool isControl() const { return flags & kControl; }
+
+    /** Both sources' values are available to an issue at `now`. */
+    bool
+    ready(Cycle now) const
+    {
+        return std::max(*wake1, *wake2) <= now;
+    }
+};
+
+/**
+ * An age-ordered instruction queue with a bounded search window.
+ *
+ * Slots live at fixed physical positions; the age order is a separate
+ * array of 16-bit slot numbers, so the per-cycle compaction moves two
+ * bytes per surviving entry rather than a whole slot, and an IqSlot
+ * reference stays valid until its entry leaves the queue.
+ */
 class InstructionQueue
 {
   public:
-    InstructionQueue(unsigned entries, unsigned search_window)
-        : entries_(entries), searchWindow_(search_window)
-    {
-        queue_.reserve(entries);
-    }
+    InstructionQueue(unsigned entries, unsigned search_window);
 
-    bool full() const { return queue_.size() >= entries_; }
-    std::size_t size() const { return queue_.size(); }
+    bool full() const { return order_.size() >= entries_; }
+    std::size_t size() const { return order_.size(); }
     unsigned capacity() const { return entries_; }
 
-    /** Insert at the tail (dispatch). Caller checks full() first. */
+    /**
+     * Insert at the tail (dispatch). Caller checks full() first; the
+     * instruction's seq, tid, op and renameCycle must already be set.
+     * `wake1`/`wake2` are its sources' wakeup cells.
+     */
     void
-    insert(DynInst *inst)
+    insert(DynInst *inst, const Cycle *wake1 = &kAlwaysReady,
+           const Cycle *wake2 = &kAlwaysReady)
     {
-        queue_.push_back(inst);
+        const StaticInst &si = *inst->si;
+        const std::uint16_t p = free_.back();
+        free_.pop_back();
+        slots_[p] = IqSlot{
+            .release = inst->iqReleaseCycle,
+            .seq = inst->seq,
+            .wake1 = wake1,
+            .wake2 = wake2,
+            .inst = inst,
+            .renameCycle = inst->renameCycle,
+            .tid = inst->tid,
+            .flags = static_cast<std::uint8_t>(
+                (si.isMemory() ? IqSlot::kMemory : 0) |
+                (si.isControl() ? IqSlot::kControl : 0) |
+                (si.isLoad() ? IqSlot::kAwaitsDisambiguation : 0)),
+        };
+        order_.push_back(p);
     }
 
-    /** Remove a specific instruction (issue-complete or squash). */
+    /** Remove a specific instruction. */
     void remove(DynInst *inst);
 
     /** Remove every instruction satisfying `pred` (bulk squash). */
@@ -47,49 +130,59 @@ class InstructionQueue
     void
     removeIf(Pred pred)
     {
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            if (!pred(queue_[i]))
-                queue_[out++] = queue_[i];
-        }
-        queue_.resize(out);
+        std::erase_if(order_, [&](std::uint16_t p) {
+            if (!pred(slots_[p].inst))
+                return false;
+            free_.push_back(p);
+            return true;
+        });
     }
 
     /**
-     * Fused release-and-search walk (the per-cycle issue scan): drop
-     * every entry satisfying `release`, and call `gather` on each kept
-     * entry whose *post-compaction* position falls inside the search
-     * window — one pass over the queue where removeIf + a window scan
-     * would take two.
+     * The per-cycle issue scan, fused into one pass: drop every entry
+     * whose release cycle has come (issued instructions vacate a cycle
+     * after issue; optimistic ones once verified; memory operations
+     * once the access happened), and call `gather(slot)` on each
+     * waiting entry whose *post-compaction* position falls inside the
+     * search window.
      */
-    template <typename ReleasePred, typename Gather>
+    template <typename Gather>
     void
-    releaseThenScan(ReleasePred release, std::size_t window, Gather gather)
+    releaseAndGather(Cycle now, Gather gather)
     {
+        std::uint16_t *order = order_.data();
+        const std::size_t n = order_.size();
         std::size_t out = 0;
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            DynInst *inst = queue_[i];
-            if (release(inst))
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint16_t p = order[i];
+            IqSlot &s = slots_[p];
+            if (s.release <= now) {
+                free_.push_back(p);
                 continue;
-            queue_[out] = inst;
-            if (out < window)
-                gather(inst);
+            }
+            order[out] = p;
+            if (out < searchWindow_ && s.inQueue())
+                gather(s);
             ++out;
         }
-        queue_.resize(out);
+        order_.resize(out);
     }
+
+    /** Mirror a requeued instruction's return to the queue: its slot
+     *  waits for issue again. */
+    void requeue(const DynInst *inst);
 
     /** The searchable (issuable) prefix length. */
     std::size_t
     searchLimit() const
     {
-        return std::min<std::size_t>(queue_.size(), searchWindow_);
+        return std::min<std::size_t>(order_.size(), searchWindow_);
     }
 
-    /** The configured search-window size (BIGQ keeps this at 32). */
-    std::size_t searchWindow() const { return searchWindow_; }
-
-    DynInst *at(std::size_t idx) const { return queue_[idx]; }
+    /** The entry at age position `idx` (0 = head = oldest). */
+    IqSlot &slot(std::size_t idx) { return slots_[order_[idx]]; }
+    const IqSlot &slot(std::size_t idx) const { return slots_[order_[idx]]; }
+    DynInst *at(std::size_t idx) const { return slot(idx).inst; }
 
     /**
      * Position (0 = head = oldest) of the first not-yet-issued entry of
@@ -110,7 +203,9 @@ class InstructionQueue
   private:
     unsigned entries_;
     unsigned searchWindow_;
-    std::vector<DynInst *> queue_;
+    std::vector<IqSlot> slots_;         ///< physical slots, fixed size.
+    std::vector<std::uint16_t> order_;  ///< live slot numbers, by age.
+    std::vector<std::uint16_t> free_;   ///< unused slot numbers.
 };
 
 } // namespace smt

@@ -28,16 +28,15 @@ PipelineState::PipelineState(const SmtConfig &config,
     threads.resize(numThreads);
 }
 
-bool
-PipelineState::operandsReady(const DynInst *inst) const
+void
+PipelineState::requeue(DynInst *inst)
 {
-    if (inst->si->src1.valid() &&
-        file(inst->si->src1.file).readyAt(inst->src1Phys) > cycle)
-        return false;
-    if (inst->si->src2.valid() &&
-        file(inst->si->src2.file).readyAt(inst->src2Phys) > cycle)
-        return false;
-    return true;
+    inst->stage = InstStage::InQueue;
+    inst->iqReleaseCycle = kCycleNever;
+    (inst->inIntQueue ? intQueue : fpQueue).requeue(inst);
+    ++frontAndQueueCount[inst->tid];
+    if (inst->isControl())
+        ++branchCount[inst->tid];
 }
 
 bool

@@ -7,7 +7,7 @@
  * per-thread state, the renamed register files, the instruction queues,
  * the in-flight bookkeeping, and the cycle counter; the stages own no
  * state of their own beyond scratch buffers. Helpers that several stages
- * need (register-file selection, operand readiness, instruction release)
+ * need (register-file selection, requeue, instruction release)
  * live here rather than on any single stage.
  */
 
@@ -15,10 +15,10 @@
 #define SMT_CORE_PIPELINE_STATE_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "branch/predictor.hh"
+#include "common/ring.hh"
 #include "config/config.hh"
 #include "core/inst_pool.hh"
 #include "core/instruction_queue.hh"
@@ -52,10 +52,10 @@ struct ThreadState
     bool onWrongPath = false;
 
     /** Fetched but not yet renamed, in order (fetch/decode buffer). */
-    std::deque<DynInst *> frontEnd;
+    Ring<DynInst *> frontEnd;
 
     /** Renamed and not yet committed, in order (the thread's ROB). */
-    std::deque<DynInst *> rob;
+    Ring<DynInst *> rob;
 
     /** In-flight (renamed, unexecuted) control instructions, used by
      *  the SPEC_LAST policy and the speculation-mode restrictions. */
@@ -169,8 +169,12 @@ struct PipelineState
         return f == RegFile::Int ? intRegs : fpRegs;
     }
 
-    /** True when both renamed sources are ready this cycle. */
-    bool operandsReady(const DynInst *inst) const;
+    /**
+     * Return an issued, not yet executed instruction to its queue slot
+     * (bank-conflict retry or stale-wakeup squash): it waits for issue
+     * again and counts toward ICOUNT/BRCOUNT again.
+     */
+    void requeue(DynInst *inst);
 
     /** True when a source value still rests on an unverified load hit. */
     bool isOptimisticNow(const DynInst *inst) const;

@@ -66,6 +66,10 @@ class RegisterFileState
     Cycle readyAt(PhysRegIndex p) const { return readyAt_[p]; }
     void setReadyAt(PhysRegIndex p, Cycle c) { readyAt_[p] = c; }
 
+    /** The wakeup cell a consumer of `p` waits on: its readyAt slot,
+     *  stable for the file's lifetime (the file never resizes). */
+    const Cycle *readyCell(PhysRegIndex p) const { return &readyAt_[p]; }
+
     Cycle
     unverifiedUntil(PhysRegIndex p) const
     {

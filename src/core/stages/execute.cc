@@ -71,9 +71,7 @@ ExecuteStage::executeLoad(DynInst *inst)
     if (r.bankConflict) {
         // Retry from the queue; consumers issued on the optimistic
         // wakeup are squashed.
-        inst->stage = InstStage::InQueue;
-        inst->iqReleaseCycle = kCycleNever;
-        ++st_.frontAndQueueCount[inst->tid];
+        st_.requeue(inst);
         rf.setReadyAt(dest, kCycleNever);
         rf.setUnverifiedUntil(dest, 0);
         requeueDependents(inst->si->dest.file, dest);
@@ -108,9 +106,7 @@ ExecuteStage::executeStore(DynInst *inst)
     const auto r =
         st_.mem.dataAccess(inst->tid, inst->memAddr, true, st_.cycle);
     if (r.bankConflict) {
-        inst->stage = InstStage::InQueue;
-        inst->iqReleaseCycle = kCycleNever;
-        ++st_.frontAndQueueCount[inst->tid];
+        st_.requeue(inst);
         if (st_.pipe != nullptr)
             st_.pipe->onRequeue(st_, inst, "bank_conflict");
         return;
@@ -169,12 +165,13 @@ ExecuteStage::requeueDependents(RegFile f, PhysRegIndex reg)
         RegisterFileState &rf = st_.file(wf);
         for (std::size_t i = 0; i < st_.inFlight.size();) {
             DynInst *inst = st_.inFlight[i];
-            const bool dep1 = inst->si->src1.valid() &&
-                              inst->si->src1.file == wf &&
-                              inst->src1Phys == wreg;
-            const bool dep2 = inst->si->src2.valid() &&
-                              inst->si->src2.file == wf &&
-                              inst->src2Phys == wreg;
+            // An absent source keeps kNoPhysReg, which never names a
+            // written register: the register match alone implies the
+            // source exists, so the StaticInst is read only on a match.
+            const bool dep1 = inst->src1Phys == wreg &&
+                              inst->si->src1.file == wf;
+            const bool dep2 = inst->src2Phys == wreg &&
+                              inst->si->src2.file == wf;
             if ((!dep1 && !dep2) ||
                 rf.readyAt(wreg) <= inst->issueCycle) {
                 ++i;
@@ -191,11 +188,7 @@ ExecuteStage::requeueDependents(RegFile f, PhysRegIndex reg)
             std::vector<DynInst *> &bucket =
                 st_.execBucket(inst->issueCycle + st_.execOffset);
             std::erase(bucket, inst);
-            inst->stage = InstStage::InQueue;
-            inst->iqReleaseCycle = kCycleNever;
-            ++st_.frontAndQueueCount[inst->tid];
-            if (inst->isControl())
-                ++st_.branchCount[inst->tid];
+            st_.requeue(inst);
             if (st_.pipe != nullptr)
                 st_.pipe->onRequeue(st_, inst, "stale_wakeup");
             if (inst->si->dest.valid()) {

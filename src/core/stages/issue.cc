@@ -13,13 +13,11 @@ namespace smt
 
 template <typename Policy>
 bool
-IssueStage<Policy>::issueAllowedBySpeculationMode(const DynInst *inst) const
+IssueStage<Policy>::speculationAllows(const IqSlot &slot) const
 {
-    if (st_.cfg.speculation == SpeculationMode::Full)
-        return true;
-    const ThreadState &ts = st_.threads[inst->tid];
+    const ThreadState &ts = st_.threads[slot.tid];
     for (const DynInst *br : ts.unresolvedBranches) {
-        if (br->seq >= inst->seq)
+        if (br->seq >= slot.seq)
             continue;
         if (st_.cfg.speculation == SpeculationMode::NoPassBranch) {
             if (br->stage != InstStage::Executed)
@@ -38,58 +36,82 @@ IssueStage<Policy>::issueAllowedBySpeculationMode(const DynInst *inst) const
 
 template <typename Policy>
 bool
-IssueStage<Policy>::loadDisambiguated(const DynInst *inst) const
+IssueStage<Policy>::disambiguated(IqSlot &slot) const
 {
+    // A load may issue once no older store of its thread with the same
+    // low address bits is still pending. Younger stores never block it
+    // and older ones only leave, so a load found clear stays clear; a
+    // blocked load records the store it waits on and rechecks only that
+    // store until it leaves (executes, or its DynInst is recycled —
+    // hence the seq check).
+    const DynInst *blocker = slot.blockStore;
+    if (blocker != nullptr && blocker->seq == slot.blockSeq &&
+        blocker->stage != InstStage::Executed)
+        return false;
+
     const Addr mask = (Addr{1} << st_.cfg.disambiguationBits) - 1;
-    for (const DynInst *st : st_.threads[inst->tid].pendingStores) {
-        if (st->seq < inst->seq && st->stage != InstStage::Executed &&
-            (st->memAddr & mask) == (inst->memAddr & mask))
+    const Addr addr = slot.inst->memAddr & mask;
+    for (const DynInst *st : st_.threads[slot.tid].pendingStores) {
+        if (st->seq < slot.seq && st->stage != InstStage::Executed &&
+            (st->memAddr & mask) == addr) {
+            slot.blockStore = st;
+            slot.blockSeq = st->seq;
             return false;
+        }
     }
+    slot.flags &= ~IqSlot::kAwaitsDisambiguation;
     return true;
 }
 
 template <typename Policy>
-void
-IssueStage<Policy>::collectCandidates(InstructionQueue &queue,
-                                      std::vector<DynInst *> &out)
+std::size_t
+IssueStage<Policy>::gatherCandidates(InstructionQueue &queue)
 {
-    // One walk: release the entries whose hold time expired (issued
-    // instructions vacate a cycle after issue; optimistically issued
-    // ones once verified; loads once their access actually happened)
-    // and gather this cycle's issuable candidates from the search
-    // window.
+    // One walk: release the entries whose hold time expired and gather
+    // this cycle's issuable candidates from the search window, keyed
+    // by the policy, then sort by key.
     //
     // Readiness is deliberately NOT checked here: a zero-latency
     // producer (Compare, Table 1) issuing earlier in this same tick
     // makes its dependents ready within the cycle, so the readiness
     // test must stay in the issue loop, after the policy ordering.
-    queue.releaseThenScan(
-        [&](const DynInst *i) {
-            return i->stage != InstStage::InQueue &&
-                   i->iqReleaseCycle <= st_.cycle;
-        },
-        queue.searchWindow(),
-        [&](DynInst *inst) {
-            if (inst->stage != InstStage::InQueue)
-                return;
-            if (inst->renameCycle >= st_.cycle)
-                return; // entered the queue this cycle.
-            if (!issueAllowedBySpeculationMode(inst))
-                return;
-            if (inst->isLoad() && !loadDisambiguated(inst))
-                return;
-            out.push_back(inst);
-        });
+    IssueCandidate *const out = cands_.data();
+    std::size_t n = 0;
+    const Cycle now = st_.cycle;
+    const bool full_speculation =
+        st_.cfg.speculation == SpeculationMode::Full;
+    queue.releaseAndGather(now, [&](IqSlot &slot) {
+        if (slot.renameCycle >= now)
+            return; // entered the queue this cycle.
+        if (!full_speculation && !speculationAllows(slot))
+            return;
+        if ((slot.flags & IqSlot::kAwaitsDisambiguation) &&
+            !disambiguated(slot))
+            return;
+        out[n++] = {policy_.key(st_, slot), &slot};
+    });
+    sortIssueCandidates(out, n);
+    return n;
 }
 
 template <typename Policy>
 void
-IssueStage<Policy>::issueInst(DynInst *inst)
+IssueStage<Policy>::issueInst(IqSlot &slot)
 {
+    DynInst *inst = slot.inst;
+    const StaticInst &si = *inst->si;
+    // The last cycle a source value rests on an unverified load hit:
+    // past now, this issue is optimistic, and a computed result
+    // inherits it (OPT_LAST and the useless-issue statistics).
+    Cycle unv = 0;
+    if (si.src1.valid())
+        unv = st_.file(si.src1.file).unverifiedUntil(inst->src1Phys);
+    if (si.src2.valid())
+        unv = std::max(unv,
+                       st_.file(si.src2.file).unverifiedUntil(inst->src2Phys));
     inst->stage = InstStage::Issued;
     inst->issueCycle = st_.cycle;
-    inst->optimistic = st_.isOptimisticNow(inst);
+    inst->optimistic = unv > st_.cycle;
 
     ++st_.stats.issuedInstructions;
     if (inst->wrongPath)
@@ -104,18 +126,7 @@ IssueStage<Policy>::issueInst(DynInst *inst)
             rf.setUnverifiedUntil(inst->destPhys,
                                   st_.cycle + st_.execOffset);
         } else {
-            rf.setReadyAt(inst->destPhys,
-                          st_.cycle + opLatency(inst->si->op));
-            // Propagate optimism downstream for OPT_LAST/statistics.
-            Cycle unv = 0;
-            if (inst->si->src1.valid())
-                unv = std::max(unv,
-                               st_.file(inst->si->src1.file)
-                                   .unverifiedUntil(inst->src1Phys));
-            if (inst->si->src2.valid())
-                unv = std::max(unv,
-                               st_.file(inst->si->src2.file)
-                                   .unverifiedUntil(inst->src2Phys));
+            rf.setReadyAt(inst->destPhys, st_.cycle + opLatency(si.op));
             rf.setUnverifiedUntil(inst->destPhys, unv);
         }
     }
@@ -127,6 +138,7 @@ IssueStage<Policy>::issueInst(DynInst *inst)
         release = st_.cycle + st_.execOffset; // held until sources
                                               // verify.
     inst->iqReleaseCycle = release;
+    slot.release = release;
 
     st_.execBucket(st_.cycle + st_.execOffset).push_back(inst);
     st_.inFlight.push_back(inst);
@@ -162,48 +174,46 @@ IssueStage<Policy>::tick()
     std::array<std::uint32_t, kMaxThreads> wait_skips{};
     std::array<std::uint32_t, kMaxThreads> busy_skips{};
 
-    cands_.clear();
-    collectCandidates(st_.intQueue, cands_);
-    policy_.order(st_, cands_);
-    bool had_candidates = !cands_.empty();
+    const Cycle now = st_.cycle;
+    const IssueCandidate *const cand = cands_.data();
+    std::size_t n = gatherCandidates(st_.intQueue);
+    bool had_candidates = n > 0;
     std::size_t c = 0;
-    for (; c < cands_.size(); ++c) {
-        DynInst *inst = cands_[c];
+    for (; c < n; ++c) {
+        IqSlot &slot = *cand[c].slot;
         if (int_units == 0)
             break;
-        if (inst->si->isMemory() && ls_units == 0) {
-            ++busy_skips[inst->tid];
+        if (slot.isMemory() && ls_units == 0) {
+            ++busy_skips[slot.tid];
             continue;
         }
-        if (!st_.operandsReady(inst)) {
-            ++wait_skips[inst->tid];
+        if (!slot.ready(now)) {
+            ++wait_skips[slot.tid];
             continue;
         }
         --int_units;
-        if (inst->si->isMemory())
+        if (slot.isMemory())
             --ls_units;
-        issueInst(inst);
+        issueInst(slot);
     }
-    for (; c < cands_.size(); ++c)
-        ++busy_skips[cands_[c]->tid]; // lost to the unit budget.
+    for (; c < n; ++c)
+        ++busy_skips[cand[c].slot->tid]; // lost to the unit budget.
 
-    cands_.clear();
-    collectCandidates(st_.fpQueue, cands_);
-    policy_.order(st_, cands_);
-    had_candidates = had_candidates || !cands_.empty();
-    for (c = 0; c < cands_.size(); ++c) {
-        DynInst *inst = cands_[c];
+    n = gatherCandidates(st_.fpQueue);
+    had_candidates = had_candidates || n > 0;
+    for (c = 0; c < n; ++c) {
+        IqSlot &slot = *cand[c].slot;
         if (fp_units == 0)
             break;
-        if (!st_.operandsReady(inst)) {
-            ++wait_skips[inst->tid];
+        if (!slot.ready(now)) {
+            ++wait_skips[slot.tid];
             continue;
         }
         --fp_units;
-        issueInst(inst);
+        issueInst(slot);
     }
-    for (; c < cands_.size(); ++c)
-        ++busy_skips[cands_[c]->tid];
+    for (; c < n; ++c)
+        ++busy_skips[cand[c].slot->tid];
 
     StallStats &sl = st_.stats.stalls;
     for (unsigned t = 0; t < st_.numThreads; ++t) {

@@ -61,15 +61,20 @@ RenameDispatchStage::tick()
             continue;
         }
 
-        // Rename operands against the current map.
-        if (best->si->src1.valid())
-            best->src1Phys =
-                st_.file(best->si->src1.file)
-                    .lookup(best->tid, best->si->src1.index);
-        if (best->si->src2.valid())
-            best->src2Phys =
-                st_.file(best->si->src2.file)
-                    .lookup(best->tid, best->si->src2.index);
+        // Rename operands against the current map, recording each
+        // source's wakeup cell for the issue walk.
+        const Cycle *wake1 = &kAlwaysReady;
+        const Cycle *wake2 = &kAlwaysReady;
+        if (best->si->src1.valid()) {
+            const RegisterFileState &rf = st_.file(best->si->src1.file);
+            best->src1Phys = rf.lookup(best->tid, best->si->src1.index);
+            wake1 = rf.readyCell(best->src1Phys);
+        }
+        if (best->si->src2.valid()) {
+            const RegisterFileState &rf = st_.file(best->si->src2.file);
+            best->src2Phys = rf.lookup(best->tid, best->si->src2.index);
+            wake2 = rf.readyCell(best->src2Phys);
+        }
         if (best->si->dest.valid()) {
             auto [fresh, prev] =
                 st_.file(best->si->dest.file)
@@ -81,7 +86,7 @@ RenameDispatchStage::tick()
         best->stage = InstStage::InQueue;
         best->renameCycle = st_.cycle;
         best->inIntQueue = &q == &st_.intQueue;
-        q.insert(best);
+        q.insert(best, wake1, wake2);
         if (pipe != nullptr)
             pipe->onRename(st_, best);
 

@@ -5,6 +5,11 @@
  * requires two full memory accesses and no execution resources
  * (Section 2.1): it adds a fixed latency to the access and consumes
  * memory-port bandwidth, but never occupies a functional unit.
+ *
+ * Lookups are O(1): an open-addressed index maps (thread, page) to the
+ * entry holding it, so a hit never scans the entries. Only a miss scans
+ * them, to choose the LRU victim exactly as a fully-associative
+ * lookup would.
  */
 
 #ifndef SMT_MEM_TLB_HH
@@ -13,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
 
@@ -43,9 +49,30 @@ class Tlb
         std::uint64_t lru = 0;
     };
 
+    /** Empty index cell. */
+    static constexpr std::uint16_t kNoEntry = 0xffff;
+
+    /** Home cell of (tid, vpn) in the index. */
+    std::size_t
+    home(ThreadID tid, Addr vpn) const
+    {
+        return mix64(vpn ^ (std::uint64_t{tid} << 56)) & indexMask_;
+    }
+
+    /** Index cell holding (tid, vpn)'s entry, or the empty cell where
+     *  its probe sequence ends. */
+    std::size_t findCell(ThreadID tid, Addr vpn) const;
+
+    /** Drop the index cell `cell` (backward-shift deletion, so probe
+     *  sequences stay unbroken without tombstones). */
+    void eraseCell(std::size_t cell);
+
     unsigned pageShift_;
     std::uint64_t lruClock_ = 0;
     std::vector<Entry> tags_;
+    /** Linear-probing index: entry number per cell, at most half full. */
+    std::vector<std::uint16_t> index_;
+    std::size_t indexMask_ = 0;
     TlbStats &stats_;
 };
 

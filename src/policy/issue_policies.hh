@@ -4,16 +4,13 @@
  *
  * Header-visible (like fetch_policies.hh) so the specialized core
  * engines can instantiate the issue stage over a concrete `final`
- * policy type: order() then resolves statically and its comparison
- * lambda inlines into the sort. The PolicyRegistry registers each by
- * name for the generic virtual-dispatch path.
+ * policy type: key() then resolves statically and inlines into the
+ * candidate gather. The PolicyRegistry registers each by name for the
+ * generic virtual-dispatch path.
  */
 
 #ifndef SMT_POLICY_ISSUE_POLICIES_HH
 #define SMT_POLICY_ISSUE_POLICIES_HH
-
-#include <algorithm>
-#include <vector>
 
 #include "core/pipeline_state.hh"
 #include "policy/issue_policy.hh"
@@ -27,23 +24,10 @@ class OldestFirstPolicy final : public IssuePolicy
   public:
     const char *name() const override { return "OLDEST_FIRST"; }
 
-    void
-    order(const PipelineState &,
-          std::vector<DynInst *> &cands) const override
+    std::uint64_t
+    key(const PipelineState &, const IqSlot &slot) const override
     {
-        // Insertion sort: the ready set is a handful of entries in
-        // near-queue (near-seq) order, where this beats introsort
-        // every cycle. Sequence numbers are unique, so the result is
-        // the same permutation std::sort would produce.
-        for (std::size_t i = 1; i < cands.size(); ++i) {
-            DynInst *c = cands[i];
-            std::size_t j = i;
-            while (j > 0 && c->seq < cands[j - 1]->seq) {
-                cands[j] = cands[j - 1];
-                --j;
-            }
-            cands[j] = c;
-        }
+        return slot.seq;
     }
 };
 
@@ -53,18 +37,10 @@ class OptLastPolicy final : public IssuePolicy
   public:
     const char *name() const override { return "OPT_LAST"; }
 
-    void
-    order(const PipelineState &st,
-          std::vector<DynInst *> &cands) const override
+    std::uint64_t
+    key(const PipelineState &st, const IqSlot &slot) const override
     {
-        std::sort(cands.begin(), cands.end(),
-                  [&st](const DynInst *a, const DynInst *b) {
-                      const bool oa = st.isOptimisticNow(a);
-                      const bool ob = st.isOptimisticNow(b);
-                      if (oa != ob)
-                          return !oa;
-                      return a->seq < b->seq;
-                  });
+        return classKey(st.isOptimisticNow(slot.inst), slot.seq);
     }
 };
 
@@ -75,27 +51,17 @@ class SpecLastPolicy final : public IssuePolicy
   public:
     const char *name() const override { return "SPEC_LAST"; }
 
-    void
-    order(const PipelineState &st,
-          std::vector<DynInst *> &cands) const override
+    std::uint64_t
+    key(const PipelineState &st, const IqSlot &slot) const override
     {
-        auto speculative = [&st](const DynInst *inst) {
-            for (const DynInst *br :
-                 st.threads[inst->tid].unresolvedBranches) {
-                if (br->seq < inst->seq &&
-                    br->stage != InstStage::Executed)
-                    return true;
+        bool speculative = false;
+        for (const DynInst *br : st.threads[slot.tid].unresolvedBranches) {
+            if (br->seq < slot.seq && br->stage != InstStage::Executed) {
+                speculative = true;
+                break;
             }
-            return false;
-        };
-        std::sort(cands.begin(), cands.end(),
-                  [&](const DynInst *a, const DynInst *b) {
-                      const bool sa = speculative(a);
-                      const bool sb = speculative(b);
-                      if (sa != sb)
-                          return !sa;
-                      return a->seq < b->seq;
-                  });
+        }
+        return classKey(speculative, slot.seq);
     }
 };
 
@@ -105,18 +71,10 @@ class BranchFirstPolicy final : public IssuePolicy
   public:
     const char *name() const override { return "BRANCH_FIRST"; }
 
-    void
-    order(const PipelineState &,
-          std::vector<DynInst *> &cands) const override
+    std::uint64_t
+    key(const PipelineState &, const IqSlot &slot) const override
     {
-        std::sort(cands.begin(), cands.end(),
-                  [](const DynInst *a, const DynInst *b) {
-                      const bool ca = a->isControl();
-                      const bool cb = b->isControl();
-                      if (ca != cb)
-                          return ca;
-                      return a->seq < b->seq;
-                  });
+        return classKey(!slot.isControl(), slot.seq);
     }
 };
 

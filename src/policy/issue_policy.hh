@@ -4,8 +4,9 @@
  * (Section 6 of Tullsen et al., ISCA'96).
  *
  * The issue stage collects the issuable candidates from one instruction
- * queue and asks the policy to order them; issue then walks the ordered
- * list until the functional units are spent. The paper's policies —
+ * queue, asks the policy for each candidate's priority key once, sorts
+ * by key, and walks the ordered list until the functional units are
+ * spent. The paper's policies —
  * OLDEST_FIRST, OPT_LAST, SPEC_LAST, BRANCH_FIRST — are implemented
  * here and registered by name in the PolicyRegistry.
  */
@@ -13,14 +14,14 @@
 #ifndef SMT_POLICY_ISSUE_POLICY_HH
 #define SMT_POLICY_ISSUE_POLICY_HH
 
-#include <vector>
+#include <cstdint>
 
 #include "common/types.hh"
 
 namespace smt
 {
 
-struct DynInst;
+struct IqSlot;
 struct PipelineState;
 
 namespace policy
@@ -37,10 +38,23 @@ class IssuePolicy
     /** Registry name, e.g. "OLDEST_FIRST". */
     virtual const char *name() const = 0;
 
-    /** Sort `cands` into issue-priority order (best candidate first). */
-    virtual void order(const PipelineState &st,
-                       std::vector<DynInst *> &cands) const = 0;
+    /**
+     * Issue-priority key of a waiting candidate; the lowest key issues
+     * first. Every key embeds the candidate's unique seq in its low
+     * bits, so keys never tie and the order is total.
+     */
+    virtual std::uint64_t key(const PipelineState &st,
+                              const IqSlot &slot) const = 0;
 };
+
+/** Key of a candidate in the policy's preferred (false) or demoted
+ *  (true) class: the class bit sits above the sequence number, so age
+ *  orders within each class. */
+constexpr std::uint64_t
+classKey(bool demoted, InstSeqNum seq)
+{
+    return (demoted ? std::uint64_t{1} << 63 : 0) | seq;
+}
 
 /** Install OLDEST_FIRST, OPT_LAST, SPEC_LAST, BRANCH_FIRST into
  *  `reg`. */

@@ -27,32 +27,20 @@ ThreadProgram::entryAt(std::uint64_t idx)
                static_cast<unsigned long long>(idx),
                static_cast<unsigned long long>(base_));
     while (headIndex() <= idx) {
-        smt_assert(count_ < kMaxLiveEntries,
+        smt_assert(ring_.size() < kMaxLiveEntries,
                    "oracle ring overflow: pipeline liveness bug?");
         step();
     }
-    return ringAt(idx);
+    return ring_[idx - base_];
 }
 
 void
 ThreadProgram::retireBefore(std::uint64_t idx)
 {
-    while (base_ < idx && count_ > 0) {
-        head_ = (head_ + 1) & (buf_.size() - 1);
-        --count_;
+    while (base_ < idx && !ring_.empty()) {
+        ring_.pop_front();
         ++base_;
     }
-}
-
-void
-ThreadProgram::growRing()
-{
-    const std::size_t cap = buf_.empty() ? 1024 : buf_.size() * 2;
-    std::vector<OracleEntry> next(cap);
-    for (std::size_t i = 0; i < count_; ++i)
-        next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    buf_ = std::move(next);
-    head_ = 0;
 }
 
 void
@@ -128,10 +116,7 @@ ThreadProgram::step()
     }
 
     pc_ = e.nextPc;
-    if (count_ == buf_.size())
-        growRing();
-    buf_[(head_ + count_) & (buf_.size() - 1)] = e;
-    ++count_;
+    ring_.push_back(e);
 }
 
 } // namespace smt

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "isa/static_inst.hh"
@@ -59,7 +60,7 @@ class ThreadProgram
     std::uint64_t
     headIndex() const
     {
-        return base_ + count_;
+        return base_ + ring_.size();
     }
 
     Addr entryPc() const { return image_.entryPc(); }
@@ -67,15 +68,6 @@ class ThreadProgram
 
   private:
     void step();
-
-    /** Grow the circular buffer (relinearizing the live entries). */
-    void growRing();
-
-    const OracleEntry &
-    ringAt(std::uint64_t idx) const
-    {
-        return buf_[(head_ + (idx - base_)) & (buf_.size() - 1)];
-    }
 
     const CodeImage &image_;
     Rng rng_;
@@ -85,14 +77,9 @@ class ThreadProgram
     std::unordered_map<std::uint32_t, std::uint64_t> loopTripsLeft_;
     std::unordered_map<std::uint32_t, std::uint64_t> memInstance_;
 
-    // Circular buffer of live entries [base_, base_ + count_). The
-    // capacity is a power of two and only ever grows, so once the
-    // in-flight window hits its high-water mark the oracle allocates
-    // nothing more (a deque here churns a block allocation every
-    // ~few-hundred instructions, on the fetch hot path).
-    std::vector<OracleEntry> buf_;
-    std::size_t head_ = 0;  ///< buffer offset of entry base_.
-    std::size_t count_ = 0; ///< live entries.
+    // Live entries [base_, base_ + ring_.size()); once the in-flight
+    // window hits its high-water mark the oracle allocates nothing more.
+    Ring<OracleEntry> ring_{1024};
     std::uint64_t base_ = 0;
 };
 

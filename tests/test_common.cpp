@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/histogram.hh"
 #include "common/lz.hh"
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 
@@ -203,6 +205,60 @@ TEST(Histogram, ResetClears)
     h.reset();
     EXPECT_EQ(h.samples(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+}
+
+TEST(Ring, MatchesADequeAcrossWrapAndGrowth)
+{
+    // Random pushes and pops from both ends, against std::deque: the
+    // contents, front/back and indexed reads agree through every wrap
+    // of the head and every doubling (which relinearizes).
+    Ring<int> ring(4);
+    std::deque<int> ref;
+    Rng rng(7);
+    int next = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const unsigned op = static_cast<unsigned>(rng.below(10));
+        if (op < 5 || ref.empty()) {
+            ring.push_back(next);
+            ref.push_back(next++);
+        } else if (op < 8) {
+            ring.pop_front();
+            ref.pop_front();
+        } else {
+            ring.pop_back();
+            ref.pop_back();
+        }
+        ASSERT_EQ(ring.size(), ref.size());
+        ASSERT_EQ(ring.empty(), ref.empty());
+        if (!ref.empty()) {
+            ASSERT_EQ(ring.front(), ref.front());
+            ASSERT_EQ(ring.back(), ref.back());
+            const std::size_t i = rng.below(ref.size());
+            ASSERT_EQ(ring[i], ref[i]);
+        }
+        const std::size_t cap = ring.capacity();
+        ASSERT_EQ(cap & (cap - 1), 0u);
+    }
+    std::vector<int> seen(ring.begin(), ring.end());
+    EXPECT_EQ(seen, std::vector<int>(ref.begin(), ref.end()));
+}
+
+TEST(Ring, StopsAllocatingAtItsHighWaterMark)
+{
+    Ring<int> ring;
+    EXPECT_EQ(ring.capacity(), 0u); // nothing allocated until used.
+    for (int i = 0; i < 100; ++i)
+        ring.push_back(i);
+    const std::size_t cap = ring.capacity();
+    EXPECT_GE(cap, 100u);
+    // A steady-state FIFO no deeper than the high-water mark never
+    // grows the buffer, however far the head travels.
+    for (int i = 0; i < 100000; ++i) {
+        ring.pop_front();
+        ring.push_back(i);
+    }
+    EXPECT_EQ(ring.capacity(), cap);
+    EXPECT_EQ(ring.front(), 100000 - 100);
 }
 
 TEST(Lz, RoundTripsRepresentativeInputs)

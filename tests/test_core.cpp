@@ -108,6 +108,31 @@ TEST(InstructionQueue, CapacityAndSearchWindow)
     EXPECT_EQ(q.searchLimit(), 4u); // only the first 4 searchable (BIGQ).
 }
 
+TEST(InstructionQueue, BigqWindowCountsPostCompactionPositions)
+{
+    // BIGQ: 64 entries, 32 searchable. Four issued entries at the head
+    // release this cycle, so the window slides four entries deeper; an
+    // issued-but-held entry still occupies a window position but is
+    // not a candidate.
+    InstPool pool;
+    static StaticInst alu;
+    InstructionQueue q(64, 32);
+    for (unsigned i = 1; i <= 40; ++i)
+        q.insert(mkInst(pool, &alu, i, 0));
+    for (std::size_t i = 0; i < 4; ++i)
+        q.slot(i).release = 5;
+    q.slot(4).release = 9;
+
+    std::vector<InstSeqNum> gathered;
+    q.releaseAndGather(5,
+                       [&](const IqSlot &s) { gathered.push_back(s.seq); });
+    EXPECT_EQ(q.size(), 36u);
+    ASSERT_EQ(gathered.size(), 31u);
+    EXPECT_EQ(gathered.front(), 6u);
+    EXPECT_EQ(gathered.back(), 36u);
+    EXPECT_EQ(q.at(0)->seq, 5u); // held, still at the head.
+}
+
 TEST(InstructionQueue, RemoveKeepsAgeOrder)
 {
     InstPool pool;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "config/config.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
@@ -233,6 +234,87 @@ TEST(Tlb, LruCapacityEviction)
         (void)tlb.translate(0, p * 8192);
     EXPECT_FALSE(tlb.translate(0, 0)); // evicted.
     EXPECT_TRUE(tlb.translate(0, 4 * 8192)); // recent survives.
+}
+
+/**
+ * Reference model: the fully-associative TLB as a linear scan over its
+ * entries on every lookup (hit search and LRU victim alike). The
+ * indexed Tlb must give the same hit/miss answer for every access.
+ */
+class LinearTlb
+{
+  public:
+    LinearTlb(unsigned entries, unsigned page_shift)
+        : pageShift_(page_shift), tags_(entries)
+    {
+    }
+
+    bool
+    translate(ThreadID tid, Addr vaddr)
+    {
+        const Addr vpn = vaddr >> pageShift_;
+        for (Entry &e : tags_) {
+            if (e.valid && e.tid == tid && e.vpn == vpn) {
+                e.lru = ++lruClock_;
+                return true;
+            }
+        }
+        Entry *victim = &tags_[0];
+        for (Entry &e : tags_) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lru < victim->lru)
+                victim = &e;
+        }
+        *victim = {true, tid, vpn, ++lruClock_};
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        ThreadID tid = 0;
+        Addr vpn = 0;
+        std::uint64_t lru = 0;
+    };
+
+    unsigned pageShift_;
+    std::uint64_t lruClock_ = 0;
+    std::vector<Entry> tags_;
+};
+
+TEST(Tlb, MatchesLinearReferenceOnRandomStreams)
+{
+    // Working sets from well inside to well beyond capacity, with a hot
+    // subset, several threads sharing page numbers, and sizes whose
+    // index wraps: every hit, miss, eviction and index deletion path.
+    Rng rng(42);
+    for (unsigned entries : {1u, 4u, 7u, 64u}) {
+        for (unsigned pages : {entries, 2 * entries + 3, 8 * entries}) {
+            TlbStats stats;
+            Tlb tlb(entries, 8192, stats);
+            LinearTlb ref(entries, 13);
+            std::uint64_t misses = 0;
+            for (unsigned i = 0; i < 20000; ++i) {
+                const ThreadID tid = static_cast<ThreadID>(rng.below(4));
+                const Addr page = rng.chance(0.7) ? rng.below(pages / 2 + 1)
+                                                  : rng.below(pages);
+                const Addr vaddr = page * 8192 + rng.below(8192);
+                const bool hit = ref.translate(tid, vaddr);
+                ASSERT_EQ(tlb.translate(tid, vaddr), hit)
+                    << "entries " << entries << " pages " << pages
+                    << " access " << i;
+                misses += hit ? 0 : 1;
+            }
+            EXPECT_EQ(stats.accesses, 20000u);
+            EXPECT_EQ(stats.misses, misses);
+            EXPECT_GT(misses, 0u);
+            EXPECT_LT(misses, 20000u);
+        }
+    }
 }
 
 class HierarchyTest : public ::testing::Test

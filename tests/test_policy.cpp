@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "core/pipeline_state.hh"
+#include "core/stages/issue.hh"
 #include "policy/registry.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
@@ -221,15 +222,33 @@ TEST_F(PolicyStateTest, HybridICountMissCountBlendsBothSignals)
 
 // ---- Issue policies -----------------------------------------------------------
 
+/** The issue order `p` gives `insts`: each is queued, keyed once and
+ *  sorted by key, exactly as the issue stage's gather does. */
+std::vector<InstSeqNum>
+issueOrder(const PipelineState &st, const policy::IssuePolicy &p,
+           const std::vector<DynInst *> &insts)
+{
+    InstructionQueue q(32, 32);
+    for (DynInst *inst : insts)
+        q.insert(inst);
+    std::vector<IssueCandidate> cands;
+    for (std::size_t i = 0; i < q.size(); ++i)
+        cands.push_back({p.key(st, q.slot(i)), &q.slot(i)});
+    sortIssueCandidates(cands.data(), cands.size());
+    std::vector<InstSeqNum> order;
+    for (const IssueCandidate &c : cands)
+        order.push_back(c.slot->seq);
+    return order;
+}
+
+using Seqs = std::vector<InstSeqNum>;
+
 TEST_F(PolicyStateTest, OldestFirstOrdersBySequence)
 {
     auto p = issuePolicy("OLDEST_FIRST");
-    std::vector<DynInst *> cands = {mkInst(9, 0, &alu_), mkInst(3, 1, &alu_),
-                                    mkInst(5, 0, &alu_)};
-    p->order(state_, cands);
-    EXPECT_EQ(cands[0]->seq, 3u);
-    EXPECT_EQ(cands[1]->seq, 5u);
-    EXPECT_EQ(cands[2]->seq, 9u);
+    const std::vector<DynInst *> cands = {
+        mkInst(9, 0, &alu_), mkInst(3, 1, &alu_), mkInst(5, 0, &alu_)};
+    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{3, 5, 9}));
 }
 
 TEST_F(PolicyStateTest, BranchFirstHoistsControlInstructions)
@@ -237,13 +256,11 @@ TEST_F(PolicyStateTest, BranchFirstHoistsControlInstructions)
     auto p = issuePolicy("BRANCH_FIRST");
     StaticInst branch;
     branch.op = OpClass::CondBranch;
-    std::vector<DynInst *> cands = {mkInst(1, 0, &alu_),
-                                    mkInst(8, 0, &branch),
-                                    mkInst(2, 0, &alu_)};
-    p->order(state_, cands);
-    EXPECT_EQ(cands[0]->seq, 8u); // the branch, though youngest.
-    EXPECT_EQ(cands[1]->seq, 1u);
-    EXPECT_EQ(cands[2]->seq, 2u);
+    const std::vector<DynInst *> cands = {mkInst(1, 0, &alu_),
+                                          mkInst(8, 0, &branch),
+                                          mkInst(2, 0, &alu_)};
+    // The branch first, though youngest.
+    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{8, 1, 2}));
 }
 
 TEST_F(PolicyStateTest, SpecLastDemotesInstructionsBehindABranch)
@@ -255,11 +272,9 @@ TEST_F(PolicyStateTest, SpecLastDemotesInstructionsBehindABranch)
     // is speculative; thread 1's seq-9 candidate is not.
     DynInst *br = mkInst(4, 0, &branch);
     state_.threads[0].unresolvedBranches.push_back(br);
-    std::vector<DynInst *> cands = {mkInst(6, 0, &alu_),
-                                    mkInst(9, 1, &alu_)};
-    p->order(state_, cands);
-    EXPECT_EQ(cands[0]->seq, 9u);
-    EXPECT_EQ(cands[1]->seq, 6u);
+    const std::vector<DynInst *> cands = {mkInst(6, 0, &alu_),
+                                          mkInst(9, 1, &alu_)};
+    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{9, 6}));
 }
 
 TEST_F(PolicyStateTest, OptLastDemotesUnverifiedLoadDependents)
@@ -272,14 +287,11 @@ TEST_F(PolicyStateTest, OptLastDemotesUnverifiedLoadDependents)
     DynInst *opt = mkInst(2, 0, &consumer);
     opt->src1Phys = 40;
     state_.intRegs.setUnverifiedUntil(40, 5);
-    std::vector<DynInst *> cands = {opt, mkInst(7, 0, &alu_)};
-    p->order(state_, cands);
-    EXPECT_EQ(cands[0]->seq, 7u);
-    EXPECT_EQ(cands[1]->seq, 2u);
+    const std::vector<DynInst *> cands = {opt, mkInst(7, 0, &alu_)};
+    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{7, 2}));
     // Once verified, age order returns.
     state_.intRegs.setUnverifiedUntil(40, 0);
-    p->order(state_, cands);
-    EXPECT_EQ(cands[0]->seq, 2u);
+    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{2, 7}));
 }
 
 // ---- Golden-stats regression ---------------------------------------------------
