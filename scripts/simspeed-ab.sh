@@ -4,41 +4,39 @@
 # OLD and NEW are two smtsweep binaries (typically the merge-base and
 # the head of a pull request, built side by side in one job). The
 # script runs `--bench-simspeed` on each, alternating which side goes
-# first, SIMSPEED_AB_PAIRS times (default 5), then prints per shape:
+# first, 5 times, then prints per shape:
 #
 #   - the median of the per-pair NEW/OLD cycles/sec ratios and the
 #     interquartile range of those ratios;
 #   - each side's median issue-stage ns per simulated cycle (from the
 #     instrumented stage-breakdown pass).
 #
-# Exits 1 when any shape's median ratio is below SIMSPEED_MIN_RATIO
-# (default 0.9, i.e. a >10% throughput loss), 2 on usage errors.
-# Because both binaries run on the same machine in the same job,
-# interleaved, the gate needs no host-locked baseline. Extra arguments
-# after OLD NEW go to every smtsweep run (e.g. --cycles 20000).
+# Exits 1 when any shape's median ratio is below 0.9 (a >10%
+# throughput loss), 2 on usage errors. Because both binaries run on the
+# same machine in the same job, interleaved, the gate needs no
+# host-locked baseline.
 set -u
 
-if [ $# -lt 2 ]; then
-    echo "usage: simspeed-ab.sh OLD_SMTSWEEP NEW_SMTSWEEP [smtsweep args...]" >&2
+if [ $# -ne 2 ]; then
+    echo "usage: simspeed-ab.sh OLD_SMTSWEEP NEW_SMTSWEEP" >&2
     exit 2
 fi
 old="$1"
 new="$2"
-shift 2
 for bin in "$old" "$new"; do
     if [ ! -x "$bin" ]; then
         echo "simspeed-ab: not an executable: $bin" >&2
         exit 2
     fi
 done
-pairs="${SIMSPEED_AB_PAIRS:-5}"
-min_ratio="${SIMSPEED_MIN_RATIO:-0.9}"
+readonly pairs=5
+readonly min_ratio=0.9
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
 run() { # side index binary
-    if ! "$3" --bench-simspeed "${@:4}" --json "$work/$1-$2.json" \
+    if ! "$3" --bench-simspeed --json "$work/$1-$2.json" \
             > "$work/$1-$2.log" 2>&1; then
         echo "simspeed-ab: $1 run $2 failed:" >&2
         cat "$work/$1-$2.log" >&2
@@ -48,11 +46,11 @@ run() { # side index binary
 
 for ((i = 1; i <= pairs; ++i)); do
     if ((i % 2)); then
-        run old "$i" "$old" "$@"
-        run new "$i" "$new" "$@"
+        run old "$i" "$old"
+        run new "$i" "$new"
     else
-        run new "$i" "$new" "$@"
-        run old "$i" "$old" "$@"
+        run new "$i" "$new"
+        run old "$i" "$old"
     fi
     echo "simspeed-ab: pair $i/$pairs done"
 done

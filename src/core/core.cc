@@ -91,7 +91,10 @@ SmtCore::debugDump() const
     std::fprintf(stderr, "intQ=%zu fpQ=%zu inFlight=%zu live=%zu\n",
                  state_.intQueue.size(), state_.fpQueue.size(),
                  state_.inFlight.size(), state_.pool.live());
-    auto dump_inst = [&](const char *tag, const DynInst *i) {
+    // `slot` is the entry's queue slot when dumping a queue, which
+    // owns the release cycle; null for the ROB and front-end heads.
+    auto dump_inst = [&](const char *tag, const DynInst *i,
+                         const IqSlot *slot) {
         const char *ready1 =
             !i->si->src1.valid()
                 ? "-"
@@ -106,16 +109,22 @@ SmtCore::debugDump() const
                            state_.cycle
                        ? "rdy"
                        : "wait");
+        char rel[24] = "-";
+        if (slot && !slot->inQueue())
+            std::snprintf(rel, sizeof rel, "%llu",
+                          static_cast<unsigned long long>(slot->release));
+        else if (slot)
+            std::snprintf(rel, sizeof rel, "waiting");
         std::fprintf(stderr,
                      "  %s seq=%llu t%u pc=%llx op=%s stage=%u wp=%d "
-                     "src1=%s src2=%s complete=%llu rel=%llu\n",
+                     "src1=%s src2=%s complete=%llu rel=%s\n",
                      tag, static_cast<unsigned long long>(i->seq), i->tid,
                      static_cast<unsigned long long>(i->pc),
                      opClassName(i->si->op),
                      static_cast<unsigned>(i->stage), i->wrongPath,
                      ready1, ready2,
                      static_cast<unsigned long long>(i->completeCycle),
-                     static_cast<unsigned long long>(i->iqReleaseCycle));
+                     rel);
     };
     for (unsigned t = 0; t < state_.numThreads; ++t) {
         const ThreadState &ts = state_.threads[t];
@@ -128,14 +137,15 @@ SmtCore::debugDump() const
                      ts.frontEnd.size(), ts.rob.size(),
                      state_.frontAndQueueCount[t], ts.onWrongPath);
         if (!ts.rob.empty())
-            dump_inst("rob-head", ts.rob.front());
+            dump_inst("rob-head", ts.rob.front(), nullptr);
         if (!ts.frontEnd.empty())
-            dump_inst("fe-head", ts.frontEnd.front());
+            dump_inst("fe-head", ts.frontEnd.front(), nullptr);
     }
     for (std::size_t i = 0; i < state_.intQueue.size(); ++i)
-        dump_inst("intQ", state_.intQueue.at(i));
+        dump_inst("intQ", state_.intQueue.at(i),
+                  &state_.intQueue.slot(i));
     for (std::size_t i = 0; i < state_.fpQueue.size(); ++i)
-        dump_inst("fpQ", state_.fpQueue.at(i));
+        dump_inst("fpQ", state_.fpQueue.at(i), &state_.fpQueue.slot(i));
 }
 
 } // namespace smt

@@ -70,7 +70,6 @@ struct DynInst
     Cycle renameCycle = 0;
     Cycle issueCycle = 0;
     Cycle completeCycle = kCycleNever; ///< commit-eligible from here.
-    Cycle iqReleaseCycle = kCycleNever; ///< queue slot vacated from here.
     bool mispredicted = false;  ///< resolved against the prediction.
     bool optimistic = false;    ///< issued on an unverified load result.
     bool inIntQueue = false;    ///< which IQ holds/held it.

@@ -7,8 +7,8 @@
  * search window at 32, turning the back half into a dispatch buffer.
  *
  * Each entry is an IqSlot that carries, inline, the fields the
- * per-cycle issue walk reads, so the release pass, the window gather,
- * the readiness test and IQPOSN's position scan never touch a DynInst.
+ * per-cycle issue walk reads, so the release pass, the window test,
+ * the readiness test and IQPOSN's position scan read no DynInst.
  */
 
 #ifndef SMT_CORE_INSTRUCTION_QUEUE_HH
@@ -29,13 +29,17 @@ inline constexpr Cycle kAlwaysReady = 0;
 
 /**
  * One queue entry: the fields the per-cycle issue walk reads, inline,
- * so release, windowing and the readiness test never dereference the
- * entry's DynInst (`inst`).
+ * so release, windowing and the readiness test read nothing through
+ * the entry's DynInst (`inst`). Two per-candidate checks still do: a
+ * load awaiting disambiguation reads its `memAddr`, and the OPT_LAST
+ * key asks PipelineState::isOptimisticNow, which follows `si` to the
+ * register file.
  *  - seq, tid, flags and renameCycle mirror DynInst fields fixed at
  *    rename;
- *  - release mirrors DynInst::iqReleaseCycle (kCycleNever while the
- *    instruction waits in the queue); issue and the requeue paths
- *    write both (PipelineState::requeue);
+ *  - release is the cycle the entry vacates the queue (kCycleNever
+ *    while the instruction waits for issue). The slot is its only
+ *    owner: IssueStage::issueInst sets it, and PipelineState::requeue
+ *    resets it when an issued instruction returns to the queue;
  *  - wake1/wake2 are the sources' wakeup cells: the `readyAt` slot of
  *    each source's physical register (RegisterFileState::readyCell),
  *    or kAlwaysReady for an absent source. Every readyAt writer updates
@@ -97,17 +101,17 @@ class InstructionQueue
     /**
      * Insert at the tail (dispatch). Caller checks full() first; the
      * instruction's seq, tid, op and renameCycle must already be set.
-     * `wake1`/`wake2` are its sources' wakeup cells.
+     * `wake1`/`wake2` are its sources' wakeup cells (kAlwaysReady for
+     * an absent source). The slot starts waiting (release =
+     * kCycleNever).
      */
     void
-    insert(DynInst *inst, const Cycle *wake1 = &kAlwaysReady,
-           const Cycle *wake2 = &kAlwaysReady)
+    insert(DynInst *inst, const Cycle *wake1, const Cycle *wake2)
     {
         const StaticInst &si = *inst->si;
         const std::uint16_t p = free_.back();
         free_.pop_back();
         slots_[p] = IqSlot{
-            .release = inst->iqReleaseCycle,
             .seq = inst->seq,
             .wake1 = wake1,
             .wake2 = wake2,

@@ -32,7 +32,6 @@ void
 PipelineState::requeue(DynInst *inst)
 {
     inst->stage = InstStage::InQueue;
-    inst->iqReleaseCycle = kCycleNever;
     (inst->inIntQueue ? intQueue : fpQueue).requeue(inst);
     ++frontAndQueueCount[inst->tid];
     if (inst->isControl())

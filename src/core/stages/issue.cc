@@ -137,7 +137,6 @@ IssueStage<Policy>::issueInst(IqSlot &slot)
     else if (inst->optimistic)
         release = st_.cycle + st_.execOffset; // held until sources
                                               // verify.
-    inst->iqReleaseCycle = release;
     slot.release = release;
 
     st_.execBucket(st_.cycle + st_.execOffset).push_back(inst);

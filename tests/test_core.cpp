@@ -95,6 +95,13 @@ mkInst(InstPool &pool, StaticInst *si, InstSeqNum seq, ThreadID tid)
     return inst;
 }
 
+/** Queue `inst` with both source operands ready. */
+void
+enqueueReady(InstructionQueue &q, DynInst *inst)
+{
+    q.insert(inst, &kAlwaysReady, &kAlwaysReady);
+}
+
 TEST(InstructionQueue, CapacityAndSearchWindow)
 {
     InstPool pool;
@@ -102,7 +109,7 @@ TEST(InstructionQueue, CapacityAndSearchWindow)
     InstructionQueue q(8, 4);
     for (unsigned i = 0; i < 8; ++i) {
         EXPECT_FALSE(q.full());
-        q.insert(mkInst(pool, &alu, i + 1, 0));
+        enqueueReady(q, mkInst(pool, &alu, i + 1, 0));
     }
     EXPECT_TRUE(q.full());
     EXPECT_EQ(q.searchLimit(), 4u); // only the first 4 searchable (BIGQ).
@@ -118,7 +125,7 @@ TEST(InstructionQueue, BigqWindowCountsPostCompactionPositions)
     static StaticInst alu;
     InstructionQueue q(64, 32);
     for (unsigned i = 1; i <= 40; ++i)
-        q.insert(mkInst(pool, &alu, i, 0));
+        enqueueReady(q, mkInst(pool, &alu, i, 0));
     for (std::size_t i = 0; i < 4; ++i)
         q.slot(i).release = 5;
     q.slot(4).release = 9;
@@ -141,9 +148,9 @@ TEST(InstructionQueue, RemoveKeepsAgeOrder)
     DynInst *a = mkInst(pool, &alu, 1, 0);
     DynInst *b = mkInst(pool, &alu, 2, 0);
     DynInst *c = mkInst(pool, &alu, 3, 0);
-    q.insert(a);
-    q.insert(b);
-    q.insert(c);
+    enqueueReady(q, a);
+    enqueueReady(q, b);
+    enqueueReady(q, c);
     q.remove(b);
     EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.at(0), a);
@@ -156,7 +163,7 @@ TEST(InstructionQueue, RemoveIfBulk)
     static StaticInst alu;
     InstructionQueue q(8, 8);
     for (unsigned i = 1; i <= 6; ++i)
-        q.insert(mkInst(pool, &alu, i, i % 2));
+        enqueueReady(q, mkInst(pool, &alu, i, i % 2));
     q.removeIf([](DynInst *i) { return i->tid == 0; });
     EXPECT_EQ(q.size(), 3u);
     for (std::size_t i = 0; i < q.size(); ++i)
@@ -168,9 +175,9 @@ TEST(InstructionQueue, OldestPositionsPerThread)
     InstPool pool;
     static StaticInst alu;
     InstructionQueue q(8, 8);
-    q.insert(mkInst(pool, &alu, 1, 1));
-    q.insert(mkInst(pool, &alu, 2, 0));
-    q.insert(mkInst(pool, &alu, 3, 1));
+    enqueueReady(q, mkInst(pool, &alu, 1, 1));
+    enqueueReady(q, mkInst(pool, &alu, 2, 0));
+    enqueueReady(q, mkInst(pool, &alu, 3, 1));
     std::size_t pos[kMaxThreads];
     q.oldestPositions(pos);
     EXPECT_EQ(pos[1], 0u);

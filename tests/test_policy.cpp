@@ -25,6 +25,13 @@ namespace
 
 // ---- Harness ---------------------------------------------------------------
 
+/** Queue `inst` with both source operands ready. */
+void
+enqueueReady(InstructionQueue &q, DynInst *inst)
+{
+    q.insert(inst, &kAlwaysReady, &kAlwaysReady);
+}
+
 /** A bare machine-state fixture the policies can be queried against. */
 class PolicyStateTest : public ::testing::Test
 {
@@ -177,13 +184,13 @@ TEST_F(PolicyStateTest, IQPosnDeprioritizesThreadNearestQueueHead)
     // int queue (sentinel position = queue size = farthest = best).
     // Thread 3 fills the FP queue so the empty-queue sentinel there
     // (min over both queues) does not clamp threads 0-2 to zero.
-    state_.intQueue.insert(mkInst(1, 0, &alu_));
-    state_.intQueue.insert(mkInst(2, 0, &alu_));
-    state_.intQueue.insert(mkInst(3, 1, &alu_));
+    enqueueReady(state_.intQueue, mkInst(1, 0, &alu_));
+    enqueueReady(state_.intQueue, mkInst(2, 0, &alu_));
+    enqueueReady(state_.intQueue, mkInst(3, 1, &alu_));
     StaticInst fpop;
     fpop.op = OpClass::FpAlu;
     for (InstSeqNum seq = 4; seq <= 6; ++seq)
-        state_.fpQueue.insert(mkInst(seq, 3, &fpop));
+        enqueueReady(state_.fpQueue, mkInst(seq, 3, &fpop));
     p->beginCycle(state_);
     EXPECT_GT(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
     EXPECT_GT(p->priorityKey(state_, 1), p->priorityKey(state_, 2));
@@ -198,10 +205,10 @@ TEST_F(PolicyStateTest, IQPosnConsidersBothQueues)
     // FP-queue head; thread 2 is one slot from the FP-queue head and
     // absent from the int queue. The closest position across both
     // queues governs, so thread 0 (FP head) ranks below thread 2.
-    state_.intQueue.insert(mkInst(1, 1, &alu_));
-    state_.intQueue.insert(mkInst(2, 0, &alu_));
-    state_.fpQueue.insert(mkInst(3, 0, &fpop));
-    state_.fpQueue.insert(mkInst(4, 2, &fpop));
+    enqueueReady(state_.intQueue, mkInst(1, 1, &alu_));
+    enqueueReady(state_.intQueue, mkInst(2, 0, &alu_));
+    enqueueReady(state_.fpQueue, mkInst(3, 0, &fpop));
+    enqueueReady(state_.fpQueue, mkInst(4, 2, &fpop));
     p->beginCycle(state_);
     EXPECT_GT(p->priorityKey(state_, 0), p->priorityKey(state_, 2));
 }
@@ -230,7 +237,7 @@ issueOrder(const PipelineState &st, const policy::IssuePolicy &p,
 {
     InstructionQueue q(32, 32);
     for (DynInst *inst : insts)
-        q.insert(inst);
+        enqueueReady(q, inst);
     std::vector<IssueCandidate> cands;
     for (std::size_t i = 0; i < q.size(); ++i)
         cands.push_back({p.key(st, q.slot(i)), &q.slot(i)});
