@@ -1,8 +1,8 @@
 /**
  * @file
- * Fetch-policy explorer: compare every registered fetch priority
- * policy — the paper's five plus any registry extensions — on a
- * workload mix of your choosing, at one thread count.
+ * Fetch-policy explorer: compare every fetch priority policy — the
+ * paper's five plus the ICOUNT+MISSCOUNT hybrid — on a workload mix of
+ * your choosing, at one thread count.
  *
  * Usage: fetch_policy_explorer [threads] [benchmark ...]
  *   e.g. fetch_policy_explorer 4 xlisp tomcatv espresso fpppp
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "policy/registry.hh"
 #include "sim/simulator.hh"
 #include "stats/table.hh"
 #include "workload/mix.hh"
@@ -42,15 +41,14 @@ main(int argc, char **argv)
     smt::Table table("fetch policies on a custom mix (2.8 partitioning)");
     table.setHeader({"policy", "IPC", "int IQ-full", "fp IQ-full",
                      "wrong-path fetched"});
-    const auto &registry = smt::policy::PolicyRegistry::instance();
-    for (const std::string &name : registry.fetchPolicyNames()) {
+    for (smt::FetchPolicy policy : smt::kFetchPolicies) {
         smt::SmtConfig cfg = smt::presets::baseSmt(threads);
-        cfg.fetchPolicyName = name;
+        cfg.fetchPolicy = policy;
         smt::presets::setFetchPartition(cfg, 2, 8);
         smt::Simulator sim(cfg, mix);
         sim.warmup(5000);
         const smt::SimStats &stats = sim.run(40000);
-        table.addRow({name, smt::fmtDouble(stats.ipc(), 2),
+        table.addRow({smt::toString(policy), smt::fmtDouble(stats.ipc(), 2),
                       smt::fmtPercent(stats.intIQFullFraction()),
                       smt::fmtPercent(stats.fpIQFullFraction()),
                       smt::fmtPercent(stats.wrongPathFetchedFraction())});

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "policy/registry.hh"
 
 namespace smt
 {
@@ -17,6 +16,7 @@ toString(FetchPolicy p)
       case FetchPolicy::MissCount: return "MISSCOUNT";
       case FetchPolicy::ICount: return "ICOUNT";
       case FetchPolicy::IQPosn: return "IQPOSN";
+      case FetchPolicy::ICountMissCount: return "ICOUNT+MISSCOUNT";
     }
     return "?";
 }
@@ -44,25 +44,41 @@ toString(SpeculationMode m)
     return "?";
 }
 
-std::string
-SmtConfig::resolvedFetchPolicyName() const
+namespace
 {
-    return fetchPolicyName.empty() ? toString(fetchPolicy)
-                                   : fetchPolicyName;
+
+template <typename Enum, std::size_t N>
+bool
+parseByName(const Enum (&values)[N], const std::string &name, Enum &out)
+{
+    for (Enum v : values) {
+        if (name == toString(v)) {
+            out = v;
+            return true;
+        }
+    }
+    return false;
 }
 
-std::string
-SmtConfig::resolvedIssuePolicyName() const
+} // namespace
+
+bool
+parseFetchPolicy(const std::string &name, FetchPolicy &out)
 {
-    return issuePolicyName.empty() ? toString(issuePolicy)
-                                   : issuePolicyName;
+    return parseByName(kFetchPolicies, name, out);
+}
+
+bool
+parseIssuePolicy(const std::string &name, IssuePolicy &out)
+{
+    return parseByName(kIssuePolicies, name, out);
 }
 
 std::string
 SmtConfig::fetchSchemeName() const
 {
     std::ostringstream os;
-    os << resolvedFetchPolicyName() << '.' << fetchThreads << '.'
+    os << toString(fetchPolicy) << '.' << fetchThreads << '.'
        << fetchPerThread;
     return os.str();
 }
@@ -100,13 +116,6 @@ SmtConfig::validate() const
     }
     if (pageBytes == 0 || (pageBytes & (pageBytes - 1)) != 0)
         smt_fatal("pageBytes must be a power of two");
-    const auto &registry = policy::PolicyRegistry::instance();
-    if (!registry.hasFetchPolicy(resolvedFetchPolicyName()))
-        smt_fatal("unregistered fetch policy \"%s\"",
-                  resolvedFetchPolicyName().c_str());
-    if (!registry.hasIssuePolicy(resolvedIssuePolicyName()))
-        smt_fatal("unregistered issue policy \"%s\"",
-                  resolvedIssuePolicyName().c_str());
 }
 
 namespace presets

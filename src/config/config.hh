@@ -27,6 +27,7 @@ enum class FetchPolicy : std::uint8_t
     MissCount,  ///< fewest outstanding D-cache misses.
     ICount,     ///< fewest instructions in decode/rename/IQ.
     IQPosn,     ///< instructions farthest from the IQ heads.
+    ICountMissCount, ///< ICOUNT plus a MISSCOUNT term (beyond the paper).
 };
 
 /** Instruction-selection priority policy for issue (Section 6). */
@@ -81,14 +82,6 @@ struct SmtConfig
     // ---- Fetch / issue policy ------------------------------------------
     FetchPolicy fetchPolicy = FetchPolicy::RoundRobin;
     IssuePolicy issuePolicy = IssuePolicy::OldestFirst;
-    /**
-     * Registry-name overrides. When non-empty these select the fetch /
-     * issue policy by PolicyRegistry name (e.g. "ICOUNT+MISSCOUNT"),
-     * reaching policies that have no enum value; when empty, the enums
-     * above select one of the paper's policies.
-     */
-    std::string fetchPolicyName;
-    std::string issuePolicyName;
     SpeculationMode speculation = SpeculationMode::Full;
     bool itagEarlyLookup = false;  ///< ITAG: probe I-cache tags a cycle
                                    ///< early; adds one front-end stage.
@@ -161,12 +154,6 @@ struct SmtConfig
         return kLogRegsPerFile * numThreads + excessRegisters;
     }
 
-    /** The registry name of the selected fetch policy. */
-    std::string resolvedFetchPolicyName() const;
-
-    /** The registry name of the selected issue policy. */
-    std::string resolvedIssuePolicyName() const;
-
     /** A human-readable fetch-scheme label, e.g. "ICOUNT.2.8". */
     std::string fetchSchemeName() const;
 
@@ -196,10 +183,30 @@ void setFetchPartition(SmtConfig &cfg, unsigned threads_per_cycle,
 
 } // namespace presets
 
-/** Short display names for the policies. */
+/** Every fetch policy, in enum (and presentation) order. */
+inline constexpr FetchPolicy kFetchPolicies[] = {
+    FetchPolicy::RoundRobin, FetchPolicy::BrCount,
+    FetchPolicy::MissCount,  FetchPolicy::ICount,
+    FetchPolicy::IQPosn,     FetchPolicy::ICountMissCount,
+};
+
+/** Every issue policy, in enum (and presentation) order. */
+inline constexpr IssuePolicy kIssuePolicies[] = {
+    IssuePolicy::OldestFirst,
+    IssuePolicy::OptLast,
+    IssuePolicy::SpecLast,
+    IssuePolicy::BranchFirst,
+};
+
+/** The paper names of the policies ("ICOUNT", "OPT_LAST", ...); the
+ *  sweep knobs and the measurement digest spell policies this way. */
 const char *toString(FetchPolicy p);
 const char *toString(IssuePolicy p);
 const char *toString(SpeculationMode m);
+
+/** Map a paper name back to its policy; false when no policy has it. */
+bool parseFetchPolicy(const std::string &name, FetchPolicy &out);
+bool parseIssuePolicy(const std::string &name, IssuePolicy &out);
 
 } // namespace smt
 

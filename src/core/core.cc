@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "policy/registry.hh"
 
 namespace smt
 {
@@ -11,19 +10,9 @@ namespace smt
 SmtCore::SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
                  BranchPredictor &bp, std::vector<ThreadProgram *> programs,
                  SimStats &stats, CoreDispatch dispatch)
-    : state_(cfg, mem, bp, stats)
+    : state_(cfg, mem, bp, stats),
+      engine_(makeCoreEngine(state_, cfg, dispatch))
 {
-    if (dispatch == CoreDispatch::Auto) {
-        const policy::CoreEngineFactory *make =
-            policy::PolicyRegistry::instance().findCoreEngine(
-                cfg.resolvedFetchPolicyName(),
-                cfg.resolvedIssuePolicyName());
-        if (make != nullptr)
-            engine_ = (*make)(state_);
-    }
-    if (!engine_)
-        engine_ = makeGenericEngine(state_, cfg);
-
     smt_assert(programs.size() == cfg.numThreads,
                "need one program per hardware context (%zu vs %u)",
                programs.size(), cfg.numThreads);

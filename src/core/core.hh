@@ -9,15 +9,15 @@
  *   squash-apply -> commit -> execute -> issue -> rename/dispatch ->
  *   decode -> fetch
  *
- * The engine is chosen once at construction. For the paper's
- * registered (fetch, issue) policy pairs, the PolicyRegistry dispatch
- * table supplies a *specialized* engine whose fetch/issue stages are
- * instantiated over the concrete policy classes — the per-thread
- * priorityKey() and per-candidate issue key() calls on the hot path resolve
- * statically. Unknown pairs (plugin policies) take the *generic*
- * engine, the same stage code dispatching through the policy vtables.
- * Both engines are cycle-identical by construction; the golden-stats
- * matrix test pins it.
+ * The engine is chosen once at construction by makeCoreEngine(). For
+ * the (fetch, issue) policy pairs the paper sweeps it builds a
+ * *specialized* engine whose fetch/issue stages are instantiated over
+ * the concrete policy classes — the per-thread priorityKey() and
+ * per-candidate issue key() calls on the hot path resolve statically.
+ * Every other pair takes the *generic* engine, the same stage code
+ * dispatching through the policy vtables. Both engines are
+ * cycle-identical by construction; the golden-stats matrix test pins
+ * it.
  *
  * Pipeline shape (Figure 2b): fetch, decode, rename, queue, regread x2,
  * exec, regwrite, commit. An instruction issued at cycle t reaches the
@@ -44,15 +44,6 @@
 
 namespace smt
 {
-
-/** How SmtCore picks its engine. */
-enum class CoreDispatch
-{
-    /** Specialized engine when the registry has one, else generic. */
-    Auto,
-    /** Always the virtual-dispatch engine (tests, A/B timing). */
-    ForceGeneric,
-};
 
 /** The SMT processor core. */
 class SmtCore

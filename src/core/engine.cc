@@ -3,7 +3,6 @@
 #include "config/config.hh"
 #include "policy/fetch_policies.hh"
 #include "policy/issue_policies.hh"
-#include "policy/registry.hh"
 
 namespace smt
 {
@@ -31,59 +30,75 @@ StageTimes::stageName(unsigned stage)
     }
 }
 
-std::unique_ptr<CoreEngine>
-makeGenericEngine(PipelineState &st, const SmtConfig &cfg)
-{
-    return std::make_unique<
-        CoreEngineT<policy::FetchPolicy, policy::IssuePolicy>>(
-        st, policy::makeFetchPolicy(cfg), policy::makeIssuePolicy(cfg));
-}
-
 namespace
 {
 
 template <typename FP, typename IP>
-void
-addEngine(policy::PolicyRegistry &reg, const char *fetchName,
-          const char *issueName)
+std::unique_ptr<CoreEngine>
+specialized(PipelineState &st)
 {
-    reg.registerCoreEngine(
-        fetchName, issueName,
-        [](PipelineState &st) -> std::unique_ptr<CoreEngine> {
-            return std::make_unique<CoreEngineT<FP, IP>>(
-                st, std::make_unique<FP>(), std::make_unique<IP>());
-        });
+    return std::make_unique<CoreEngineT<FP, IP>>(
+        st, std::make_unique<FP>(), std::make_unique<IP>());
 }
 
 } // namespace
 
-void
-registerBuiltinCoreEngines(policy::PolicyRegistry &reg)
+std::unique_ptr<CoreEngine>
+makeCoreEngine(PipelineState &st, const SmtConfig &cfg,
+               CoreDispatch dispatch)
 {
-    using namespace policy;
+    using policy::ICountPolicy;
+    using policy::OldestFirstPolicy;
+    const bool auto_dispatch = dispatch == CoreDispatch::Auto;
     // Every fetch policy the paper sweeps, under the default issue
     // policy (Section 5)...
-    addEngine<RoundRobinPolicy, OldestFirstPolicy>(reg, "RR",
-                                                   "OLDEST_FIRST");
-    addEngine<BrCountPolicy, OldestFirstPolicy>(reg, "BRCOUNT",
-                                                "OLDEST_FIRST");
-    addEngine<MissCountPolicy, OldestFirstPolicy>(reg, "MISSCOUNT",
-                                                  "OLDEST_FIRST");
-    addEngine<ICountPolicy, OldestFirstPolicy>(reg, "ICOUNT",
-                                               "OLDEST_FIRST");
-    addEngine<IQPosnPolicy, OldestFirstPolicy>(reg, "IQPOSN",
-                                               "OLDEST_FIRST");
-    addEngine<ICountMissCountPolicy, OldestFirstPolicy>(
-        reg, "ICOUNT+MISSCOUNT", "OLDEST_FIRST");
+    if (auto_dispatch && cfg.issuePolicy == IssuePolicy::OldestFirst) {
+        switch (cfg.fetchPolicy) {
+          case FetchPolicy::RoundRobin:
+            return specialized<policy::RoundRobinPolicy,
+                               OldestFirstPolicy>(st);
+          case FetchPolicy::BrCount:
+            return specialized<policy::BrCountPolicy,
+                               OldestFirstPolicy>(st);
+          case FetchPolicy::MissCount:
+            return specialized<policy::MissCountPolicy,
+                               OldestFirstPolicy>(st);
+          case FetchPolicy::ICount:
+            return specialized<ICountPolicy, OldestFirstPolicy>(st);
+          case FetchPolicy::IQPosn:
+            return specialized<policy::IQPosnPolicy,
+                               OldestFirstPolicy>(st);
+          case FetchPolicy::ICountMissCount:
+            return specialized<policy::ICountMissCountPolicy,
+                               OldestFirstPolicy>(st);
+          default:
+            break;
+        }
+    }
     // ...and the issue-policy sweep, run under the winning fetch
     // policy (Section 6).
-    addEngine<ICountPolicy, OptLastPolicy>(reg, "ICOUNT", "OPT_LAST");
-    addEngine<ICountPolicy, SpecLastPolicy>(reg, "ICOUNT", "SPEC_LAST");
-    addEngine<ICountPolicy, BranchFirstPolicy>(reg, "ICOUNT",
-                                               "BRANCH_FIRST");
+    if (auto_dispatch && cfg.fetchPolicy == FetchPolicy::ICount) {
+        switch (cfg.issuePolicy) {
+          case IssuePolicy::OptLast:
+            return specialized<ICountPolicy, policy::OptLastPolicy>(st);
+          case IssuePolicy::SpecLast:
+            return specialized<ICountPolicy, policy::SpecLastPolicy>(st);
+          case IssuePolicy::BranchFirst:
+            return specialized<ICountPolicy,
+                               policy::BranchFirstPolicy>(st);
+          default:
+            break;
+        }
+    }
+    // Every other pair, and CoreDispatch::ForceGeneric: the same stage
+    // code dispatching through the policy vtables.
+    return std::make_unique<
+        CoreEngineT<policy::FetchPolicy, policy::IssuePolicy>>(
+        st, policy::makeFetchPolicy(cfg.fetchPolicy),
+        policy::makeIssuePolicy(cfg.issuePolicy));
 }
 
-// The specialized instantiations (one per registered pair above, plus
+// The specialized instantiations (one per pair above, plus
 // the generic virtual-dispatch engine). Keeping them here — rather
 // than implicit in every includer — keeps engine_impl.hh a
 // single-translation-unit header.

@@ -6,16 +6,15 @@
  * CoreEngine, chosen once at construction:
  *
  *  - a *specialized* engine (engine_impl.hh) instantiated over the
- *    concrete fetch/issue policy classes of a registered paper policy
- *    pair — the per-thread priorityKey() calls in fetch and the
+ *    concrete fetch/issue policy classes of one of the paper's swept
+ *    policy pairs — the per-thread priorityKey() calls in fetch and the
  *    per-candidate key() calls in issue resolve statically and inline;
  *  - the *generic* engine — the same template instantiated over the
- *    abstract policy interfaces — for plugin policies the dispatch
- *    table does not know.
+ *    abstract policy interfaces — for every other pair.
  *
  * Both run the same stage code, so they are cycle-identical; the
- * golden-stats test matrix pins that for every registered pair. The
- * dispatch table lives in the PolicyRegistry (registry.hh).
+ * golden-stats test matrix pins that for every specialized pair.
+ * makeCoreEngine() (engine.cc) is the one place that picks.
  */
 
 #ifndef SMT_CORE_ENGINE_HH
@@ -35,8 +34,16 @@ namespace policy
 {
 class FetchPolicy;
 class IssuePolicy;
-class PolicyRegistry;
 } // namespace policy
+
+/** How SmtCore picks its engine. */
+enum class CoreDispatch
+{
+    /** Specialized engine when the policy pair has one, else generic. */
+    Auto,
+    /** Always the virtual-dispatch engine (tests, A/B timing). */
+    ForceGeneric,
+};
 
 /** Wall-clock nanoseconds accumulated per pipeline stage
  *  (tickTimed() instrumentation for the simspeed benchmarks). */
@@ -88,13 +95,11 @@ class CoreEngine
     virtual const char *kind() const = 0;
 };
 
-/** The virtual-dispatch fallback engine for the policies `cfg` names. */
-std::unique_ptr<CoreEngine> makeGenericEngine(PipelineState &st,
-                                              const SmtConfig &cfg);
-
-/** Install the specialized engines for the paper's registered policy
- *  pairs into `reg`'s dispatch table (called by the registry itself). */
-void registerBuiltinCoreEngines(policy::PolicyRegistry &reg);
+/** The engine for the policies `cfg` selects: the specialized one
+ *  for a paper pair under CoreDispatch::Auto, otherwise generic. */
+std::unique_ptr<CoreEngine> makeCoreEngine(PipelineState &st,
+                                           const SmtConfig &cfg,
+                                           CoreDispatch dispatch);
 
 } // namespace smt
 

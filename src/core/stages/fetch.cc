@@ -222,8 +222,8 @@ FetchStage<Policy>::tick()
 }
 
 // One instantiation per dispatch mode: the abstract base (generic
-// virtual-dispatch core) and each registered paper policy (the
-// specialized cores the PolicyRegistry dispatch table selects).
+// virtual-dispatch core) and each paper policy (the specialized cores
+// makeCoreEngine() selects).
 template class FetchStage<policy::FetchPolicy>;
 template class FetchStage<policy::RoundRobinPolicy>;
 template class FetchStage<policy::BrCountPolicy>;

@@ -6,10 +6,10 @@
  *
  * The stage is a template over the policy type. Instantiated with the
  * abstract policy::FetchPolicy, every priorityKey()/beginCycle() call
- * dispatches virtually (the plugin-policy fallback); instantiated with
- * a concrete `final` policy class, the calls resolve statically and
+ * dispatches virtually (the generic engine); instantiated with a
+ * concrete `final` policy class, the calls resolve statically and
  * inline into the selection loop (the specialized paper-policy cores
- * built by the PolicyRegistry dispatch table). Both instantiations run
+ * makeCoreEngine() builds). Both instantiations run
  * the same statements, so they are cycle-identical by construction.
  */
 
@@ -98,7 +98,7 @@ class FetchStage
 };
 
 // The template is instantiated explicitly in fetch.cc for the abstract
-// policy and each registered paper policy.
+// policy and each paper policy.
 
 } // namespace smt
 

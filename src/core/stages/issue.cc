@@ -224,8 +224,8 @@ IssueStage<Policy>::tick()
 }
 
 // One instantiation per dispatch mode: the abstract base (generic
-// virtual-dispatch core) and each registered paper policy (the
-// specialized cores the PolicyRegistry dispatch table selects).
+// virtual-dispatch core) and each paper policy (the specialized cores
+// makeCoreEngine() selects).
 template class IssueStage<policy::IssuePolicy>;
 template class IssueStage<policy::OldestFirstPolicy>;
 template class IssueStage<policy::OptLastPolicy>;

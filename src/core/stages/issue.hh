@@ -6,7 +6,7 @@
  *
  * Like FetchStage, the stage is a template over the policy type:
  * instantiated with the abstract policy::IssuePolicy it calls key()
- * virtually (plugin fallback); instantiated with a concrete `final`
+ * virtually (generic engine); instantiated with a concrete `final`
  * policy the per-candidate key() call resolves statically and inlines
  * into the gather.
  */
@@ -82,7 +82,7 @@ class IssueStage
 };
 
 // Instantiated explicitly in issue.cc for the abstract policy and each
-// registered paper policy.
+// paper policy.
 
 } // namespace smt
 

@@ -3,12 +3,12 @@
  * The concrete fetch policies of Section 5.2 (plus the hybrid
  * ICOUNT+MISSCOUNT).
  *
- * These classes live in a header — not hidden behind the registry —
- * so the specialized core engines can instantiate the fetch stage
- * directly over a concrete `final` policy type and the compiler can
- * devirtualize and inline priorityKey() into the selection loop. The
- * PolicyRegistry still registers each of them by name for the generic
- * virtual-dispatch path and for enumeration.
+ * These classes live in a header — not hidden behind
+ * makeFetchPolicy() — so the specialized core engines can instantiate
+ * the fetch stage directly over a concrete `final` policy type and the
+ * compiler can devirtualize and inline priorityKey() into the
+ * selection loop. makeFetchPolicy() builds them for the generic
+ * virtual-dispatch path.
  */
 
 #ifndef SMT_POLICY_FETCH_POLICIES_HH

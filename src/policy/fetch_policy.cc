@@ -1,34 +1,30 @@
 #include "policy/fetch_policy.hh"
 
-#include <memory>
-
+#include "common/logging.hh"
 #include "policy/fetch_policies.hh"
-#include "policy/registry.hh"
 
 namespace smt::policy
 {
 
-void
-registerBuiltinFetchPolicies(PolicyRegistry &reg)
+std::unique_ptr<FetchPolicy>
+makeFetchPolicy(smt::FetchPolicy p)
 {
-    reg.registerFetchPolicy("RR", [] {
+    switch (p) {
+      case smt::FetchPolicy::RoundRobin:
         return std::make_unique<RoundRobinPolicy>();
-    });
-    reg.registerFetchPolicy("BRCOUNT", [] {
+      case smt::FetchPolicy::BrCount:
         return std::make_unique<BrCountPolicy>();
-    });
-    reg.registerFetchPolicy("MISSCOUNT", [] {
+      case smt::FetchPolicy::MissCount:
         return std::make_unique<MissCountPolicy>();
-    });
-    reg.registerFetchPolicy("ICOUNT", [] {
+      case smt::FetchPolicy::ICount:
         return std::make_unique<ICountPolicy>();
-    });
-    reg.registerFetchPolicy("IQPOSN", [] {
+      case smt::FetchPolicy::IQPosn:
         return std::make_unique<IQPosnPolicy>();
-    });
-    reg.registerFetchPolicy("ICOUNT+MISSCOUNT", [] {
+      case smt::FetchPolicy::ICountMissCount:
         return std::make_unique<ICountMissCountPolicy>();
-    });
+    }
+    smt_panic("fetch policy enum value %u out of range",
+              static_cast<unsigned>(p));
 }
 
 } // namespace smt::policy

@@ -6,17 +6,19 @@
  * Each cycle the fetch stage ranks the fetchable threads by
  * priorityKey() (lower key = higher priority; round-robin order breaks
  * ties) and fetches from the best `fetchThreads` of them. The paper's
- * policies — RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN — are implemented
- * here and registered by name in the PolicyRegistry; new policies only
- * need a subclass and a registry entry, never a core change.
+ * policies — RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN — and the hybrid
+ * ICOUNT+MISSCOUNT are `final` classes in fetch_policies.hh, one per
+ * smt::FetchPolicy enum value; makeFetchPolicy() maps the enum to its
+ * class.
  */
 
 #ifndef SMT_POLICY_FETCH_POLICY_HH
 #define SMT_POLICY_FETCH_POLICY_HH
 
-#include <vector>
+#include <memory>
 
 #include "common/types.hh"
+#include "config/config.hh"
 
 namespace smt
 {
@@ -26,15 +28,13 @@ struct PipelineState;
 namespace policy
 {
 
-class PolicyRegistry;
-
 /** Thread-priority strategy consulted by the fetch stage. */
 class FetchPolicy
 {
   public:
     virtual ~FetchPolicy() = default;
 
-    /** Registry name, e.g. "ICOUNT". */
+    /** Paper name, e.g. "ICOUNT" (toString() of the enum value). */
     virtual const char *name() const = 0;
 
     /**
@@ -49,9 +49,8 @@ class FetchPolicy
                                ThreadID tid) const = 0;
 };
 
-/** Install RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN, and the hybrid
- *  ICOUNT+MISSCOUNT into `reg`. */
-void registerBuiltinFetchPolicies(PolicyRegistry &reg);
+/** The policy object for one smt::FetchPolicy value. */
+std::unique_ptr<FetchPolicy> makeFetchPolicy(smt::FetchPolicy p);
 
 } // namespace policy
 } // namespace smt

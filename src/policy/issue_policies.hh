@@ -5,8 +5,8 @@
  * Header-visible (like fetch_policies.hh) so the specialized core
  * engines can instantiate the issue stage over a concrete `final`
  * policy type: key() then resolves statically and inlines into the
- * candidate gather. The PolicyRegistry registers each by name for the
- * generic virtual-dispatch path.
+ * candidate gather. makeIssuePolicy() builds them for the generic
+ * virtual-dispatch path.
  */
 
 #ifndef SMT_POLICY_ISSUE_POLICIES_HH

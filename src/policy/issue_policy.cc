@@ -1,28 +1,26 @@
 #include "policy/issue_policy.hh"
 
-#include <memory>
-
+#include "common/logging.hh"
 #include "policy/issue_policies.hh"
-#include "policy/registry.hh"
 
 namespace smt::policy
 {
 
-void
-registerBuiltinIssuePolicies(PolicyRegistry &reg)
+std::unique_ptr<IssuePolicy>
+makeIssuePolicy(smt::IssuePolicy p)
 {
-    reg.registerIssuePolicy("OLDEST_FIRST", [] {
+    switch (p) {
+      case smt::IssuePolicy::OldestFirst:
         return std::make_unique<OldestFirstPolicy>();
-    });
-    reg.registerIssuePolicy("OPT_LAST", [] {
+      case smt::IssuePolicy::OptLast:
         return std::make_unique<OptLastPolicy>();
-    });
-    reg.registerIssuePolicy("SPEC_LAST", [] {
+      case smt::IssuePolicy::SpecLast:
         return std::make_unique<SpecLastPolicy>();
-    });
-    reg.registerIssuePolicy("BRANCH_FIRST", [] {
+      case smt::IssuePolicy::BranchFirst:
         return std::make_unique<BranchFirstPolicy>();
-    });
+    }
+    smt_panic("issue policy enum value %u out of range",
+              static_cast<unsigned>(p));
 }
 
 } // namespace smt::policy

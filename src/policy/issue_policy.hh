@@ -7,16 +7,19 @@
  * queue, asks the policy for each candidate's priority key once, sorts
  * by key, and walks the ordered list until the functional units are
  * spent. The paper's policies —
- * OLDEST_FIRST, OPT_LAST, SPEC_LAST, BRANCH_FIRST — are implemented
- * here and registered by name in the PolicyRegistry.
+ * OLDEST_FIRST, OPT_LAST, SPEC_LAST, BRANCH_FIRST — are `final`
+ * classes in issue_policies.hh, one per smt::IssuePolicy enum value;
+ * makeIssuePolicy() maps the enum to its class.
  */
 
 #ifndef SMT_POLICY_ISSUE_POLICY_HH
 #define SMT_POLICY_ISSUE_POLICY_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "common/types.hh"
+#include "config/config.hh"
 
 namespace smt
 {
@@ -27,15 +30,13 @@ struct PipelineState;
 namespace policy
 {
 
-class PolicyRegistry;
-
 /** Candidate-ordering strategy consulted by the issue stage. */
 class IssuePolicy
 {
   public:
     virtual ~IssuePolicy() = default;
 
-    /** Registry name, e.g. "OLDEST_FIRST". */
+    /** Paper name, e.g. "OLDEST_FIRST" (toString() of the enum value). */
     virtual const char *name() const = 0;
 
     /**
@@ -56,9 +57,8 @@ classKey(bool demoted, InstSeqNum seq)
     return (demoted ? std::uint64_t{1} << 63 : 0) | seq;
 }
 
-/** Install OLDEST_FIRST, OPT_LAST, SPEC_LAST, BRANCH_FIRST into
- *  `reg`. */
-void registerBuiltinIssuePolicies(PolicyRegistry &reg);
+/** The policy object for one smt::IssuePolicy value. */
+std::unique_ptr<IssuePolicy> makeIssuePolicy(smt::IssuePolicy p);
 
 } // namespace policy
 } // namespace smt

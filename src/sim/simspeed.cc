@@ -56,8 +56,8 @@ measureShape(const ShapeSpec &spec, const Options &opts)
     ShapeResult r;
     r.name = spec.name;
     r.threads = spec.cfg.numThreads;
-    r.fetchPolicy = spec.cfg.resolvedFetchPolicyName();
-    r.issuePolicy = spec.cfg.resolvedIssuePolicyName();
+    r.fetchPolicy = toString(spec.cfg.fetchPolicy);
+    r.issuePolicy = toString(spec.cfg.issuePolicy);
 
     // Best-of-N on fresh machines: each repeat re-runs the identical
     // deterministic simulation, so the fastest wall-clock is the least

@@ -566,16 +566,4 @@ findExperiment(const std::string &name)
     return nullptr;
 }
 
-int
-benchMain(const std::string &name)
-{
-    const NamedExperiment *experiment = findExperiment(name);
-    smt_assert(experiment != nullptr, "unknown experiment \"%s\"",
-               name.c_str());
-    const SweepOutcome outcome =
-        runSweep(experiment->spec, defaultRunnerOptions());
-    experiment->report(outcome);
-    return 0;
-}
-
 } // namespace smt::sweep

@@ -2,9 +2,8 @@
  * @file
  * The named experiments: every paper figure/table grid as a
  * declarative ExperimentSpec, paired with the report function that
- * prints its self-checking table (identical to the historical bench
- * binaries' output). `smtsweep --experiment <name>` and the bench/
- * binaries both run through this registry, so they cannot drift apart.
+ * prints its self-checking table. `smtsweep --experiment <name>` runs
+ * and prints each of them.
  */
 
 #ifndef SMT_SWEEP_EXPERIMENTS_HH
@@ -31,13 +30,6 @@ const std::vector<NamedExperiment> &allExperiments();
 
 /** Find by spec name; null when unknown. */
 const NamedExperiment *findExperiment(const std::string &name);
-
-/**
- * Run one named experiment with defaultRunnerOptions() and print its
- * report — the whole main() of a ported bench binary. Returns the
- * process exit code.
- */
-int benchMain(const std::string &name);
 
 } // namespace smt::sweep
 

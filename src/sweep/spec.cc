@@ -33,6 +33,20 @@ boolKnob(bool SmtConfig::*field)
     };
 }
 
+/** "A, B, C": the names a policy knob accepts, for its error. */
+template <typename Enum, std::size_t N>
+std::string
+nameList(const Enum (&values)[N])
+{
+    std::string names;
+    for (Enum v : values) {
+        if (!names.empty())
+            names += ", ";
+        names += toString(v);
+    }
+    return names;
+}
+
 const std::vector<KnobEntry> &
 knobTable()
 {
@@ -46,11 +60,17 @@ knobTable()
         {"commitWidth", uintKnob(&SmtConfig::commitWidth)},
         {"fetchPolicy",
          [](SmtConfig &cfg, const Json &v) {
-             cfg.fetchPolicyName = v.asString();
+             const std::string &s = v.asString();
+             if (!parseFetchPolicy(s, cfg.fetchPolicy))
+                 smt_fatal("unknown fetch policy \"%s\" (%s)", s.c_str(),
+                           nameList(kFetchPolicies).c_str());
          }},
         {"issuePolicy",
          [](SmtConfig &cfg, const Json &v) {
-             cfg.issuePolicyName = v.asString();
+             const std::string &s = v.asString();
+             if (!parseIssuePolicy(s, cfg.issuePolicy))
+                 smt_fatal("unknown issue policy \"%s\" (%s)", s.c_str(),
+                           nameList(kIssuePolicies).c_str());
          }},
         {"speculation",
          [](SmtConfig &cfg, const Json &v) {

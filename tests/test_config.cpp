@@ -148,10 +148,39 @@ TEST(Config, PolicyNames)
     EXPECT_STREQ(toString(FetchPolicy::MissCount), "MISSCOUNT");
     EXPECT_STREQ(toString(FetchPolicy::ICount), "ICOUNT");
     EXPECT_STREQ(toString(FetchPolicy::IQPosn), "IQPOSN");
+    EXPECT_STREQ(toString(FetchPolicy::ICountMissCount),
+                 "ICOUNT+MISSCOUNT");
     EXPECT_STREQ(toString(IssuePolicy::OldestFirst), "OLDEST_FIRST");
     EXPECT_STREQ(toString(IssuePolicy::OptLast), "OPT_LAST");
     EXPECT_STREQ(toString(IssuePolicy::SpecLast), "SPEC_LAST");
     EXPECT_STREQ(toString(IssuePolicy::BranchFirst), "BRANCH_FIRST");
+
+    // The lists hold every enum value once, in enum order, and each
+    // name parses back to its value.
+    unsigned i = 0;
+    for (FetchPolicy p : kFetchPolicies) {
+        EXPECT_EQ(static_cast<unsigned>(p), i++);
+        FetchPolicy back = FetchPolicy::RoundRobin;
+        EXPECT_TRUE(parseFetchPolicy(toString(p), back)) << toString(p);
+        EXPECT_EQ(back, p);
+    }
+    EXPECT_EQ(i, static_cast<unsigned>(FetchPolicy::ICountMissCount) + 1);
+    i = 0;
+    for (IssuePolicy p : kIssuePolicies) {
+        EXPECT_EQ(static_cast<unsigned>(p), i++);
+        IssuePolicy back = IssuePolicy::OldestFirst;
+        EXPECT_TRUE(parseIssuePolicy(toString(p), back)) << toString(p);
+        EXPECT_EQ(back, p);
+    }
+    EXPECT_EQ(i, static_cast<unsigned>(IssuePolicy::BranchFirst) + 1);
+
+    FetchPolicy fetch = FetchPolicy::IQPosn;
+    EXPECT_FALSE(parseFetchPolicy("icount", fetch)); // names are exact
+    EXPECT_FALSE(parseFetchPolicy("OLDEST_FIRST", fetch));
+    EXPECT_EQ(fetch, FetchPolicy::IQPosn); // untouched on failure
+    IssuePolicy issue = IssuePolicy::SpecLast;
+    EXPECT_FALSE(parseIssuePolicy("NOPE", issue));
+    EXPECT_EQ(issue, IssuePolicy::SpecLast);
 }
 
 } // namespace

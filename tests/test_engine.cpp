@@ -2,11 +2,11 @@
  * @file
  * Core-engine dispatch tests: the specialized (devirtualized-policy)
  * engines must be cycle-identical to the generic virtual-dispatch
- * engine for every registered policy pair, the registry dispatch table
- * must fall back to generic when a policy name is re-registered
- * (plugin safety), the fetch candidate insertion sort must match
- * std::sort's strict-total-order result, and the steady-state hot path
- * must not allocate (instruction pool and oracle ring audits).
+ * engine for every specialized policy pair, a pair without a
+ * specialization must run the generic engine, the fetch candidate
+ * insertion sort must match std::sort's strict-total-order result, and
+ * the steady-state hot path must not allocate (instruction pool and
+ * oracle ring audits).
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +17,7 @@
 #include <vector>
 
 #include "core/stages/fetch.hh"
-#include "policy/fetch_policies.hh"
-#include "policy/registry.hh"
+#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -28,25 +27,6 @@ namespace
 {
 
 // ---- Specialized vs generic: cycle identity --------------------------------
-
-struct PolicyPair
-{
-    const char *fetch;
-    const char *issue;
-};
-
-/** Every (fetch, issue) pair the paper registers an engine for. */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
 
 /** The stat fields a single divergent cycle anywhere would disturb. */
 struct StatKey
@@ -84,68 +64,46 @@ struct StatKey
 
 TEST(EngineMatrix, SpecializedIsCycleIdenticalToGenericForAllPairs)
 {
-    for (const PolicyPair &pair : kRegisteredPairs) {
+    for (const PolicyPair &pair : kSpecializedPairs) {
         SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicyName = pair.fetch;
-        cfg.issuePolicyName = pair.issue;
+        cfg.fetchPolicy = pair.fetch;
+        cfg.issuePolicy = pair.issue;
 
         Simulator spec(cfg, mixForRun(4, 0), 0, CoreDispatch::Auto);
         Simulator gen(cfg, mixForRun(4, 0), 0,
                       CoreDispatch::ForceGeneric);
 
         EXPECT_STREQ(spec.core().engineKind(), "specialized")
-            << pair.fetch << "." << pair.issue;
-        EXPECT_STREQ(gen.core().engineKind(), "generic")
-            << pair.fetch << "." << pair.issue;
+            << pair.name();
+        EXPECT_STREQ(gen.core().engineKind(), "generic") << pair.name();
+        EXPECT_STREQ(spec.core().fetchPolicy().name(), toString(pair.fetch));
+        EXPECT_STREQ(spec.core().issuePolicy().name(), toString(pair.issue));
 
         spec.run(6000);
         gen.run(6000);
         EXPECT_TRUE(StatKey::of(spec.stats()) == StatKey::of(gen.stats()))
-            << "stats diverged for " << pair.fetch << "." << pair.issue;
+            << "stats diverged for " << pair.name();
         spec.core().validateInvariants();
         gen.core().validateInvariants();
     }
 }
 
-TEST(EngineMatrix, RegistryListsEveryRegisteredPair)
+// ---- Dispatch: pairs without a specialization ----------------------------
+
+TEST(EngineDispatch, UnlistedPairRunsGeneric)
 {
-    const auto names =
-        policy::PolicyRegistry::instance().coreEngineNames();
-    for (const PolicyPair &pair : kRegisteredPairs) {
-        const bool found =
-            std::any_of(names.begin(), names.end(), [&](const auto &e) {
-                return e.first == pair.fetch && e.second == pair.issue;
-            });
-        EXPECT_TRUE(found) << pair.fetch << "." << pair.issue;
-        EXPECT_NE(policy::PolicyRegistry::instance().findCoreEngine(
-                      pair.fetch, pair.issue),
-                  nullptr);
-    }
-}
-
-// ---- Plugin safety: re-registration evicts the specialization ---------------
-
-TEST(EngineDispatch, ReRegisteringAPolicyNameFallsBackToGeneric)
-{
-    auto &reg = policy::PolicyRegistry::instance();
-
-    // A "plugin" replaces ICOUNT's behaviour. Keeping the specialized
-    // engines would silently run the builtin's baked-in code instead.
-    reg.registerFetchPolicy("ICOUNT", [] {
-        return std::make_unique<policy::ICountPolicy>();
-    });
-    EXPECT_EQ(reg.findCoreEngine("ICOUNT", "OLDEST_FIRST"), nullptr);
-    EXPECT_NE(reg.findCoreEngine("RR", "OLDEST_FIRST"), nullptr);
-
-    SmtConfig cfg = presets::icount28(2);
+    // No paper sweep pairs BRCOUNT fetch with OPT_LAST issue, so no
+    // specialized engine exists for it: the generic engine runs it.
+    SmtConfig cfg = presets::baseSmt(2);
+    cfg.fetchPolicy = FetchPolicy::BrCount;
+    cfg.issuePolicy = IssuePolicy::OptLast;
     Simulator sim(cfg, mixForRun(2, 0));
     EXPECT_STREQ(sim.core().engineKind(), "generic");
-
-    // Restore the builtin dispatch table for the rest of the process.
-    registerBuiltinCoreEngines(reg);
-    EXPECT_NE(reg.findCoreEngine("ICOUNT", "OLDEST_FIRST"), nullptr);
-    Simulator again(cfg, mixForRun(2, 0));
-    EXPECT_STREQ(again.core().engineKind(), "specialized");
+    EXPECT_STREQ(sim.core().fetchPolicy().name(), "BRCOUNT");
+    EXPECT_STREQ(sim.core().issuePolicy().name(), "OPT_LAST");
+    sim.run(3000);
+    EXPECT_GT(sim.stats().committedInstructions, 500u);
+    sim.core().validateInvariants();
 }
 
 // ---- Fetch candidate ordering ----------------------------------------------

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pipeline-microscope tests: attaching a pipetrace must never disturb
- * the simulation (cycle identity across every registered policy pair
+ * the simulation (cycle identity across every specialized policy pair
  * under both engines), every traced instruction must close (commit or
  * squash — the `smtpipe --check` gate, green on a real file and red on
  * a truncated one), the admission window and sample period must bound
@@ -24,6 +24,7 @@
 #include "obs/pipe_analysis.hh"
 #include "obs/pipe_trace.hh"
 #include "obs/trace_analysis.hh"
+#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "sweep/runner.hh"
 #include "workload/mix.hh"
@@ -32,25 +33,6 @@ namespace smt
 {
 namespace
 {
-
-struct PolicyPair
-{
-    const char *fetch;
-    const char *issue;
-};
-
-/** Every (fetch, issue) pair the paper registers an engine for. */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
 
 /** The stat fields a single divergent cycle anywhere would disturb. */
 struct StatKey
@@ -127,10 +109,10 @@ TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
     topts.windowLast = 600;
     topts.samplePeriod = 50;
 
-    for (const PolicyPair &pair : kRegisteredPairs) {
+    for (const PolicyPair &pair : kSpecializedPairs) {
         SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicyName = pair.fetch;
-        cfg.issuePolicyName = pair.issue;
+        cfg.fetchPolicy = pair.fetch;
+        cfg.issuePolicy = pair.issue;
 
         for (CoreDispatch dispatch :
              {CoreDispatch::Auto, CoreDispatch::ForceGeneric}) {
@@ -140,8 +122,7 @@ TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
             const SimStats traced =
                 tracedRun(cfg, path, topts, dispatch);
             EXPECT_TRUE(StatKey::of(plain.stats()) == StatKey::of(traced))
-                << "pipetrace disturbed " << pair.fetch << "."
-                << pair.issue << " ("
+                << "pipetrace disturbed " << pair.name() << " ("
                 << (dispatch == CoreDispatch::Auto ? "specialized"
                                                    : "generic")
                 << ")";

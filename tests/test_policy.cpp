@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the policy layer: the priority ordering each fetch
  * policy produces on a hand-built PipelineState, the candidate ordering
- * of each issue policy, registry resolution (including custom policy
- * registration through SmtConfig name overrides), and a golden-stats
+ * of each issue policy, the enum -> policy factories, and a golden-stats
  * regression pinning the refactored core to the pre-refactor cycle
  * behaviour on the RR and ICOUNT.2.8 machines.
  */
@@ -14,7 +13,8 @@
 
 #include "core/pipeline_state.hh"
 #include "core/stages/issue.hh"
-#include "policy/registry.hh"
+#include "policy/fetch_policy.hh"
+#include "policy/issue_policy.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -45,13 +45,17 @@ class PolicyStateTest : public ::testing::Test
     std::unique_ptr<policy::FetchPolicy>
     fetchPolicy(const std::string &name)
     {
-        return policy::PolicyRegistry::instance().makeFetchPolicy(name);
+        FetchPolicy p{};
+        EXPECT_TRUE(parseFetchPolicy(name, p)) << name;
+        return policy::makeFetchPolicy(p);
     }
 
     std::unique_ptr<policy::IssuePolicy>
     issuePolicy(const std::string &name)
     {
-        return policy::PolicyRegistry::instance().makeIssuePolicy(name);
+        IssuePolicy p{};
+        EXPECT_TRUE(parseIssuePolicy(name, p)) << name;
+        return policy::makeIssuePolicy(p);
     }
 
     DynInst *
@@ -74,64 +78,14 @@ class PolicyStateTest : public ::testing::Test
     StaticInst alu_; // default IntAlu, no operands.
 };
 
-// ---- Registry --------------------------------------------------------------
+// ---- Factories -------------------------------------------------------------
 
-TEST(PolicyRegistry, BuiltinsRegistered)
+TEST(PolicyFactory, EveryEnumValueBuildsThePolicyOfItsName)
 {
-    const auto &reg = policy::PolicyRegistry::instance();
-    for (const char *name :
-         {"RR", "BRCOUNT", "MISSCOUNT", "ICOUNT", "IQPOSN",
-          "ICOUNT+MISSCOUNT"})
-        EXPECT_TRUE(reg.hasFetchPolicy(name)) << name;
-    for (const char *name :
-         {"OLDEST_FIRST", "OPT_LAST", "SPEC_LAST", "BRANCH_FIRST"})
-        EXPECT_TRUE(reg.hasIssuePolicy(name)) << name;
-    EXPECT_FALSE(reg.hasFetchPolicy("NO_SUCH_POLICY"));
-}
-
-TEST(PolicyRegistry, EnumNamesResolveToMatchingPolicies)
-{
-    SmtConfig cfg = presets::icount28(4);
-    EXPECT_EQ(cfg.resolvedFetchPolicyName(), "ICOUNT");
-    EXPECT_EQ(cfg.resolvedIssuePolicyName(), "OLDEST_FIRST");
-    EXPECT_STREQ(policy::makeFetchPolicy(cfg)->name(), "ICOUNT");
-    EXPECT_STREQ(policy::makeIssuePolicy(cfg)->name(), "OLDEST_FIRST");
-}
-
-TEST(PolicyRegistry, NameOverrideBeatsEnum)
-{
-    SmtConfig cfg = presets::baseSmt(2);
-    cfg.fetchPolicy = FetchPolicy::RoundRobin;
-    cfg.fetchPolicyName = "ICOUNT+MISSCOUNT";
-    EXPECT_STREQ(policy::makeFetchPolicy(cfg)->name(),
-                 "ICOUNT+MISSCOUNT");
-    EXPECT_EQ(cfg.fetchSchemeName(), "ICOUNT+MISSCOUNT.1.8");
-}
-
-TEST(PolicyRegistry, CustomPolicyRunsASimulation)
-{
-    // A custom policy needs only a registry entry: fetch the highest
-    // thread id first (deliberately silly, easy to register).
-    class HighestTidPolicy final : public policy::FetchPolicy
-    {
-      public:
-        const char *name() const override { return "HIGHEST_TID"; }
-
-        double
-        priorityKey(const PipelineState &, ThreadID tid) const override
-        {
-            return -static_cast<double>(tid);
-        }
-    };
-    policy::PolicyRegistry::instance().registerFetchPolicy(
-        "HIGHEST_TID", [] { return std::make_unique<HighestTidPolicy>(); });
-
-    SmtConfig cfg = presets::baseSmt(2);
-    cfg.fetchPolicyName = "HIGHEST_TID";
-    Simulator sim(cfg, mixForRun(2, 0));
-    sim.run(3000);
-    EXPECT_GT(sim.stats().committedInstructions, 500u);
-    EXPECT_STREQ(sim.core().fetchPolicy().name(), "HIGHEST_TID");
+    for (FetchPolicy p : kFetchPolicies)
+        EXPECT_STREQ(policy::makeFetchPolicy(p)->name(), toString(p));
+    for (IssuePolicy p : kIssuePolicies)
+        EXPECT_STREQ(policy::makeIssuePolicy(p)->name(), toString(p));
 }
 
 // ---- Fetch policies ----------------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * Stall-accounting invariants: the per-cause counters added for the
  * observability work must form a closed ledger, not an approximation.
- * For every registered policy pair (under both the specialized and the
+ * For every specialized policy pair (under both the specialized and the
  * generic core engine):
  *
  *  - fetch dispositions partition time: per thread, the five fetch
@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -29,26 +30,6 @@ namespace smt
 {
 namespace
 {
-
-struct PolicyPair
-{
-    const char *fetch;
-    const char *issue;
-};
-
-/** Every (fetch, issue) pair the paper registers an engine for (kept
- *  in sync with test_engine.cpp's registry assertions). */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
 
 void
 checkLedger(const SimStats &stats, unsigned threads,
@@ -115,12 +96,11 @@ stallStatsEqual(const StallStats &a, const StallStats &b)
 
 TEST(StallAccounting, LedgerClosesForEveryPairUnderBothEngines)
 {
-    for (const PolicyPair &pair : kRegisteredPairs) {
+    for (const PolicyPair &pair : kSpecializedPairs) {
         SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicyName = pair.fetch;
-        cfg.issuePolicyName = pair.issue;
-        const std::string what =
-            std::string(pair.fetch) + "." + pair.issue;
+        cfg.fetchPolicy = pair.fetch;
+        cfg.issuePolicy = pair.issue;
+        const std::string what = pair.name();
 
         Simulator spec(cfg, mixForRun(4, 0), 0, CoreDispatch::Auto);
         Simulator gen(cfg, mixForRun(4, 0), 0,

@@ -164,16 +164,43 @@ TEST(Digest, IdenticalKeysDigestIdentically)
     EXPECT_EQ(measurementDigest(a, opts), measurementDigest(b, opts));
 }
 
-TEST(Digest, EnumAndNameSelectionDigestIdentically)
+TEST(Digest, PaperGridDigestsArePinned)
 {
-    // Both spell the same machine, so they must share a cache slot.
-    const MeasureOptions opts = tinyOptions();
-    SmtConfig by_enum = presets::baseSmt(4);
-    by_enum.fetchPolicy = FetchPolicy::ICount;
-    SmtConfig by_name = presets::baseSmt(4);
-    by_name.fetchPolicyName = "ICOUNT";
-    EXPECT_EQ(measurementDigest(by_enum, opts),
-              measurementDigest(by_name, opts));
+    // Cache keys of three paper points. Every local and remote store
+    // entry is addressed by these, so a refactor that changes how a
+    // config serializes orphans them all: a change here must come with
+    // a kDigestSchema bump and a re-recording.
+    MeasureOptions opts;
+    opts.cyclesPerRun = 1200;
+    opts.warmupCycles = 300;
+    opts.runs = 2;
+    struct Pin
+    {
+        const char *experiment;
+        const char *label;
+        unsigned threads;
+        const char *digest;
+    };
+    const Pin pins[] = {
+        {"fig5", "2.8.ICOUNT", 4, "2f931bfb798ca16ed347626f86606495"},
+        {"table5", "OPT_LAST", 8, "ad6310538942ed6e80fcc06aa640982d"},
+        {"fig3", "unmodified superscalar", 1,
+         "a5376445ad2f368086aa3e24e9525dee"},
+    };
+    for (const Pin &pin : pins) {
+        const NamedExperiment *e = findExperiment(pin.experiment);
+        ASSERT_NE(e, nullptr) << pin.experiment;
+        unsigned found = 0;
+        for (const SweepPoint &p : e->spec.expand(opts)) {
+            if (p.label != pin.label || p.threads != pin.threads)
+                continue;
+            ++found;
+            EXPECT_EQ(measurementDigest(p.config, p.options), pin.digest)
+                << pin.experiment << " " << pin.label << " @"
+                << pin.threads << "T";
+        }
+        EXPECT_EQ(found, 1u) << pin.experiment << " " << pin.label;
+    }
 }
 
 TEST(Digest, AnyKnobChangeChangesTheDigest)
@@ -200,10 +227,10 @@ TEST(Digest, AnyKnobChangeChangesTheDigest)
     }
     {
         SmtConfig cfg = base;
-        cfg.fetchPolicyName = "ICOUNT";
+        cfg.fetchPolicy = FetchPolicy::ICount;
         variants.push_back(cfg);
         cfg = base;
-        cfg.issuePolicyName = "OPT_LAST";
+        cfg.issuePolicy = IssuePolicy::OptLast;
         variants.push_back(cfg);
         cfg = base;
         cfg.l2.sizeBytes *= 2;
@@ -255,7 +282,7 @@ TEST(Spec, Fig5GridExpandsToTheFullCartesianProduct)
     EXPECT_EQ(p.config.numThreads, 4u);
     EXPECT_EQ(p.config.fetchThreads, 2u);
     EXPECT_EQ(p.config.fetchPerThread, 8u);
-    EXPECT_EQ(p.config.resolvedFetchPolicyName(), "ICOUNT");
+    EXPECT_EQ(p.config.fetchPolicy, FetchPolicy::ICount);
     EXPECT_EQ(p.config.fetchSchemeName(), "ICOUNT.2.8");
     EXPECT_EQ(p.options.cyclesPerRun, tinyOptions().cyclesPerRun);
     p.config.validate();
@@ -295,6 +322,15 @@ TEST(Spec, UnknownKnobsAreFatal)
     SmtConfig cfg;
     EXPECT_DEATH(applyKnob(cfg, {"no_such_knob", Json(std::uint64_t{1})}),
                  "unknown config knob");
+    // A policy name no policy answers to dies at expansion, before a
+    // digest is computed or a store marker written; the message lists
+    // the accepted names.
+    EXPECT_DEATH(applyKnob(cfg, {"fetchPolicy", Json("NOPE")}),
+                 "unknown fetch policy \"NOPE\" \\(RR, BRCOUNT, MISSCOUNT, "
+                 "ICOUNT, IQPOSN, ICOUNT\\+MISSCOUNT\\)");
+    EXPECT_DEATH(applyKnob(cfg, {"issuePolicy", Json("icount")}),
+                 "unknown issue policy \"icount\" \\(OLDEST_FIRST, "
+                 "OPT_LAST, SPEC_LAST, BRANCH_FIRST\\)");
 }
 
 // ---- Thread pool -----------------------------------------------------------

@@ -3,8 +3,8 @@
  * smtsweep: run any named experiment through the sweep engine.
  *
  *   smtsweep --experiment fig5
- *       run Figure 5's grid (printing the same self-check table as
- *       bench/fig5_fetch_policies) with on-disk result caching;
+ *       run Figure 5's grid and print its self-check table, with
+ *       on-disk result caching;
  *   smtsweep --experiment fig5 --require-cached
  *       assert the whole grid replays from cache (CI's second pass);
  *   smtsweep --list | --describe NAME
@@ -15,8 +15,8 @@
  *       "smt-simspeed-v1" artifact scripts/check-simspeed.sh gates on.
  *
  * Measurement knobs come from the SMTSIM_CYCLES / SMTSIM_WARMUP /
- * SMTSIM_RUNS / SMTSIM_SERIAL environment (like the bench binaries)
- * unless overridden by flags.
+ * SMTSIM_RUNS / SMTSIM_SERIAL environment unless overridden by
+ * flags.
  */
 
 #include <cstdio>
