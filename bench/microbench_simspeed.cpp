@@ -7,7 +7,8 @@
  * Beyond the BM_* microbenchmarks, `--simspeed_out=PATH` also writes
  * the same "smt-simspeed-v1" BENCH_simspeed.json artifact as
  * `smtsweep --bench-simspeed` (both front ends share
- * src/sim/simspeed.*); scripts/check-simspeed.sh gates on it.
+ * src/sim/simspeed.*). scripts/simspeed-ab.sh is the regression gate:
+ * it A/Bs two builds' `smtsweep --bench-simspeed` on one host.
  */
 
 #include <cstdio>
@@ -32,25 +33,6 @@ BM_TickThroughput(benchmark::State &state)
     smt::SmtConfig cfg = smt::presets::icount28(threads);
     smt::Simulator sim(cfg, smt::mixForRun(threads, 0));
     sim.run(2000); // warm the machine.
-    for (auto _ : state) {
-        sim.run(1000);
-        benchmark::DoNotOptimize(sim.stats().committedInstructions);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 1000);
-    state.counters["IPC"] = sim.stats().ipc();
-}
-
-/** The same machine through the virtual-dispatch engine: the spread
- *  against BM_TickThroughput is the devirtualization win. */
-void
-BM_TickThroughputGeneric(benchmark::State &state)
-{
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    smt::SmtConfig cfg = smt::presets::icount28(threads);
-    smt::Simulator sim(cfg, smt::mixForRun(threads, 0), /*seed_salt=*/0,
-                       smt::CoreDispatch::ForceGeneric);
-    sim.run(2000);
     for (auto _ : state) {
         sim.run(1000);
         benchmark::DoNotOptimize(sim.stats().committedInstructions);
@@ -95,8 +77,6 @@ BM_ProgramGeneration(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_TickThroughput)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TickThroughputGeneric)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TickThroughputRr)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);

@@ -1,17 +1,43 @@
 #include "core/core.hh"
 
+#include <chrono>
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "obs/pipe_trace.hh"
 
 namespace smt
 {
 
+const char *
+StageTimes::stageName(unsigned stage)
+{
+    switch (stage) {
+      case Squash:
+        return "squash";
+      case Commit:
+        return "commit";
+      case Execute:
+        return "execute";
+      case Issue:
+        return "issue";
+      case Rename:
+        return "rename";
+      case Decode:
+        return "decode";
+      case Fetch:
+        return "fetch";
+      default:
+        return "?";
+    }
+}
+
 SmtCore::SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
                  BranchPredictor &bp, std::vector<ThreadProgram *> programs,
-                 SimStats &stats, CoreDispatch dispatch)
-    : state_(cfg, mem, bp, stats),
-      engine_(makeCoreEngine(state_, cfg, dispatch))
+                 SimStats &stats)
+    : state_(cfg, mem, bp, stats), squash_(state_), commit_(state_),
+      execute_(state_), issue_(state_), rename_(state_), decode_(state_),
+      fetch_(state_)
 {
     smt_assert(programs.size() == cfg.numThreads,
                "need one program per hardware context (%zu vs %u)",
@@ -20,6 +46,61 @@ SmtCore::SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
         state_.threads[t].program = programs[t];
         state_.threads[t].fetchPc = programs[t]->entryPc();
     }
+}
+
+void
+SmtCore::tick()
+{
+    squash_.tick();
+    commit_.tick();
+    execute_.tick();
+    issue_.tick();
+    rename_.tick();
+    decode_.tick();
+    fetch_.tick();
+    endCycle();
+}
+
+namespace
+{
+
+template <StageTimes::Stage S, typename StageT>
+void
+timed(StageTimes &out, StageT &stage)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    stage.tick();
+    const auto t1 = std::chrono::steady_clock::now();
+    out.ns[S] += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+}
+
+} // namespace
+
+void
+SmtCore::tickTimed(StageTimes &out)
+{
+    timed<StageTimes::Squash>(out, squash_);
+    timed<StageTimes::Commit>(out, commit_);
+    timed<StageTimes::Execute>(out, execute_);
+    timed<StageTimes::Issue>(out, issue_);
+    timed<StageTimes::Rename>(out, rename_);
+    timed<StageTimes::Decode>(out, decode_);
+    timed<StageTimes::Fetch>(out, fetch_);
+    endCycle();
+}
+
+void
+SmtCore::endCycle()
+{
+    // Pipetrace sample channel: after the walk, with `cycle` still
+    // naming the tick the stages just executed.
+    if (obs::PipeTrace *pipe = state_.pipe)
+        pipe->endCycle(state_);
+    state_.sampleOccupancy();
+    ++state_.cycle;
+    ++state_.stats.cycles;
 }
 
 // --------------------------------------------------------------------------
@@ -46,6 +127,13 @@ SmtCore::validateInvariants() const
                     ++in_flight_fp;
             }
         }
+        // A store leaves pendingStores when it executes, so commit
+        // (which only releases executed instructions) never finds one
+        // there.
+        for (const DynInst *inst : ts.pendingStores)
+            smt_assert(inst->stage != InstStage::Executed,
+                       "executed store seq %llu still pending",
+                       static_cast<unsigned long long>(inst->seq));
         prev_seq = 0;
         for (const DynInst *inst : ts.frontEnd) {
             smt_assert(inst->seq > prev_seq,

@@ -2,22 +2,14 @@
  * @file
  * SmtCore: the simultaneous multithreading pipeline of Section 2.
  *
- * The core is a thin composition root: it owns the shared
- * PipelineState and a CoreEngine (core/engine.hh) that runs the
- * back-to-front stage walk so each stage consumes state the previous
- * cycle produced:
+ * The core owns the shared PipelineState and the seven stage objects,
+ * and runs the back-to-front stage walk so each stage consumes state
+ * the previous cycle produced:
  *   squash-apply -> commit -> execute -> issue -> rename/dispatch ->
  *   decode -> fetch
  *
- * The engine is chosen once at construction by makeCoreEngine(). For
- * the (fetch, issue) policy pairs the paper sweeps it builds a
- * *specialized* engine whose fetch/issue stages are instantiated over
- * the concrete policy classes — the per-thread priorityKey() and
- * per-candidate issue key() calls on the hot path resolve statically.
- * Every other pair takes the *generic* engine, the same stage code
- * dispatching through the policy vtables. Both engines are
- * cycle-identical by construction; the golden-stats matrix test pins
- * it.
+ * The fetch and issue stages read the configured policies from
+ * `cfg.fetchPolicy` / `cfg.issuePolicy` (policy/policy.hh).
  *
  * Pipeline shape (Figure 2b): fetch, decode, rename, queue, regread x2,
  * exec, regwrite, commit. An instruction issued at cycle t reaches the
@@ -34,16 +26,51 @@
 #ifndef SMT_CORE_CORE_HH
 #define SMT_CORE_CORE_HH
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <vector>
 
-#include "core/engine.hh"
 #include "core/pipeline_state.hh"
-#include "policy/fetch_policy.hh"
-#include "policy/issue_policy.hh"
+#include "core/stages/commit.hh"
+#include "core/stages/decode.hh"
+#include "core/stages/execute.hh"
+#include "core/stages/fetch.hh"
+#include "core/stages/issue.hh"
+#include "core/stages/rename_dispatch.hh"
+#include "core/stages/squash.hh"
 
 namespace smt
 {
+
+/** Wall-clock nanoseconds accumulated per pipeline stage
+ *  (tickTimed() instrumentation for the simspeed benchmarks). */
+struct StageTimes
+{
+    enum Stage : unsigned
+    {
+        Squash,
+        Commit,
+        Execute,
+        Issue,
+        Rename,
+        Decode,
+        Fetch,
+        kNumStages,
+    };
+
+    std::array<std::uint64_t, kNumStages> ns{};
+
+    static const char *stageName(unsigned stage);
+
+    std::uint64_t
+    totalNs() const
+    {
+        std::uint64_t sum = 0;
+        for (std::uint64_t v : ns)
+            sum += v;
+        return sum;
+    }
+};
 
 /** The SMT processor core. */
 class SmtCore
@@ -55,28 +82,18 @@ class SmtCore
      */
     SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
             BranchPredictor &bp, std::vector<ThreadProgram *> programs,
-            SimStats &stats, CoreDispatch dispatch = CoreDispatch::Auto);
+            SimStats &stats);
 
-    // The engine's stage objects hold references into state_: moving or
-    // copying a core would leave them aimed at the source object.
+    // The stage objects hold references into state_: moving or copying
+    // a core would leave them aimed at the source object.
     SmtCore(const SmtCore &) = delete;
     SmtCore &operator=(const SmtCore &) = delete;
 
     /** Advance the machine one cycle. */
-    void
-    tick()
-    {
-        engine_->tick();
-        endCycle();
-    }
+    void tick();
 
     /** tick() with per-stage wall-clock accumulation (benchmarks). */
-    void
-    tickTimed(StageTimes &out)
-    {
-        engine_->tickTimed(out);
-        endCycle();
-    }
+    void tickTimed(StageTimes &out);
 
     Cycle cycle() const { return state_.cycle; }
 
@@ -93,23 +110,8 @@ class SmtCore
     /** Pool high-water mark (steady-state allocation audits). */
     std::size_t poolAllocated() const { return state_.pool.allocated(); }
 
-    /** The resolved policy objects (introspection for tests/tools). */
-    const policy::FetchPolicy &
-    fetchPolicy() const
-    {
-        return engine_->fetchPolicy();
-    }
-    const policy::IssuePolicy &
-    issuePolicy() const
-    {
-        return engine_->issuePolicy();
-    }
-
-    /** "specialized" or "generic" (introspection for tests/tools). */
-    const char *engineKind() const { return engine_->kind(); }
-
     /** Attach (or with nullptr detach) a pipeline microscope; the
-     *  stages consult the pointer, the engine drives its sample
+     *  stages consult the pointer, endCycle() drives its sample
      *  channel. See obs/pipe_trace.hh. */
     void setPipeTrace(obs::PipeTrace *pipe) { state_.pipe = pipe; }
 
@@ -123,16 +125,19 @@ class SmtCore
     void debugDump() const;
 
   private:
-    void
-    endCycle()
-    {
-        state_.sampleOccupancy();
-        ++state_.cycle;
-        ++state_.stats.cycles;
-    }
+    void endCycle();
 
     PipelineState state_;
-    std::unique_ptr<CoreEngine> engine_;
+
+    // Stage objects, declared in tick() order; each holds a reference
+    // to state_.
+    SquashStage squash_;
+    CommitStage commit_;
+    ExecuteStage execute_;
+    IssueStage issue_;
+    RenameDispatchStage rename_;
+    DecodeStage decode_;
+    FetchStage fetch_;
 };
 
 } // namespace smt

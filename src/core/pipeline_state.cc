@@ -56,8 +56,6 @@ PipelineState::releaseInst(DynInst *inst)
     ThreadState &ts = threads[inst->tid];
     if (inst->isControl())
         std::erase(ts.unresolvedBranches, inst);
-    if (inst->isStore())
-        std::erase(ts.pendingStores, inst);
     pool.release(inst);
 }
 

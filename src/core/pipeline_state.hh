@@ -179,7 +179,9 @@ struct PipelineState
     /** True when a source value still rests on an unverified load hit. */
     bool isOptimisticNow(const DynInst *inst) const;
 
-    /** Return an instruction to the pool, clearing the side lists. */
+    /** Return a committed instruction to the pool, dropping it from
+     *  unresolvedBranches (a store left pendingStores when it
+     *  executed). */
     void releaseInst(DynInst *inst);
 
     /**

@@ -4,18 +4,21 @@
 
 #include "common/logging.hh"
 #include "obs/pipe_trace.hh"
-#include "policy/fetch_policies.hh"
+#include "policy/policy.hh"
 
 namespace smt
 {
 
-template <typename Policy>
 unsigned
-FetchStage<Policy>::selectFetchThreads()
+FetchStage::selectFetchThreads()
 {
     unsigned num_cands = 0;
 
-    policy_.beginCycle(st_);
+    const FetchPolicy fetch_policy = st_.cfg.fetchPolicy;
+    if (fetch_policy == FetchPolicy::IQPosn) {
+        st_.intQueue.oldestPositions(posInt_);
+        st_.fpQueue.oldestPositions(posFp_);
+    }
 
     for (unsigned t = 0; t < st_.numThreads; ++t) {
         const ThreadID tid = static_cast<ThreadID>(t);
@@ -47,7 +50,9 @@ FetchStage<Policy>::selectFetchThreads()
         outcome_[t] = FetchOutcome::LostSelection;
         const unsigned rr =
             (t + st_.numThreads - st_.rrBase) % st_.numThreads;
-        cands_[num_cands++] = {policy_.priorityKey(st_, tid), rr, tid};
+        const std::size_t iq_posn = std::min(posInt_[t], posFp_[t]);
+        cands_[num_cands++] = {
+            policy::fetchKey(fetch_policy, st_, tid, iq_posn), rr, tid};
     }
 
     sortFetchCandidates(cands_.data(), num_cands);
@@ -69,9 +74,8 @@ FetchStage<Policy>::selectFetchThreads()
     return num_selected;
 }
 
-template <typename Policy>
 DynInst *
-FetchStage<Policy>::buildInst(ThreadState &ts, ThreadID tid, Addr pc)
+FetchStage::buildInst(ThreadState &ts, ThreadID tid, Addr pc)
 {
     const StaticInst *si = ts.program->image().at(pc);
     smt_assert(si != nullptr);
@@ -103,9 +107,8 @@ FetchStage<Policy>::buildInst(ThreadState &ts, ThreadID tid, Addr pc)
     return inst;
 }
 
-template <typename Policy>
 unsigned
-FetchStage<Policy>::fetchFromThread(ThreadID tid, unsigned max_insts)
+FetchStage::fetchFromThread(ThreadID tid, unsigned max_insts)
 {
     ThreadState &ts = st_.threads[tid];
     obs::PipeTrace *const pipe = st_.pipe;
@@ -163,9 +166,8 @@ FetchStage<Policy>::fetchFromThread(ThreadID tid, unsigned max_insts)
     return fetched;
 }
 
-template <typename Policy>
 void
-FetchStage<Policy>::tick()
+FetchStage::tick()
 {
     const unsigned num_selected = selectFetchThreads();
 
@@ -220,16 +222,5 @@ FetchStage<Policy>::tick()
     if (total == 0)
         ++st_.stats.fetchCyclesIdle;
 }
-
-// One instantiation per dispatch mode: the abstract base (generic
-// virtual-dispatch core) and each paper policy (the specialized cores
-// makeCoreEngine() selects).
-template class FetchStage<policy::FetchPolicy>;
-template class FetchStage<policy::RoundRobinPolicy>;
-template class FetchStage<policy::BrCountPolicy>;
-template class FetchStage<policy::MissCountPolicy>;
-template class FetchStage<policy::ICountPolicy>;
-template class FetchStage<policy::IQPosnPolicy>;
-template class FetchStage<policy::ICountMissCountPolicy>;
 
 } // namespace smt

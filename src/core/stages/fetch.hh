@@ -1,16 +1,8 @@
 /**
  * @file
- * FetchStage: per-cycle thread selection (delegated to the configured
- * FetchPolicy) and instruction fetch from the selected threads'
- * code images (Sections 4 and 5).
- *
- * The stage is a template over the policy type. Instantiated with the
- * abstract policy::FetchPolicy, every priorityKey()/beginCycle() call
- * dispatches virtually (the generic engine); instantiated with a
- * concrete `final` policy class, the calls resolve statically and
- * inline into the selection loop (the specialized paper-policy cores
- * makeCoreEngine() builds). Both instantiations run
- * the same statements, so they are cycle-identical by construction.
+ * FetchStage: per-cycle thread selection (ranked by the configured
+ * fetch policy's key, policy/policy.hh) and instruction fetch from the
+ * selected threads' code images (Sections 4 and 5).
  */
 
 #ifndef SMT_CORE_STAGES_FETCH_HH
@@ -19,7 +11,6 @@
 #include <array>
 
 #include "core/pipeline_state.hh"
-#include "policy/fetch_policy.hh"
 
 namespace smt
 {
@@ -70,13 +61,11 @@ sortFetchCandidates(FetchCandidate *cands, unsigned n)
     }
 }
 
-/** Fetch stage. `Policy` is policy::FetchPolicy (virtual dispatch) or a
- *  concrete final policy class (static dispatch). */
-template <typename Policy>
+/** Fetch stage. */
 class FetchStage
 {
   public:
-    FetchStage(PipelineState &st, Policy &pol) : st_(st), policy_(pol) {}
+    explicit FetchStage(PipelineState &st) : st_(st) {}
 
     void tick();
 
@@ -87,7 +76,6 @@ class FetchStage
     DynInst *buildInst(ThreadState &ts, ThreadID tid, Addr pc);
 
     PipelineState &st_;
-    Policy &policy_;
 
     // Per-cycle scratch, sized to the machine maximum so the fetch
     // walk never touches the heap.
@@ -95,10 +83,11 @@ class FetchStage
     std::array<ThreadID, kMaxThreads> selected_;
     std::array<unsigned, kMaxThreads> banks_;
     std::array<FetchOutcome, kMaxThreads> outcome_;
+    /** IQPOSN's per-thread oldest-entry positions in each queue,
+     *  filled once per cycle and only under that policy. */
+    std::array<std::size_t, kMaxThreads> posInt_{};
+    std::array<std::size_t, kMaxThreads> posFp_{};
 };
-
-// The template is instantiated explicitly in fetch.cc for the abstract
-// policy and each paper policy.
 
 } // namespace smt
 

@@ -6,14 +6,13 @@
 
 #include "isa/latency.hh"
 #include "obs/pipe_trace.hh"
-#include "policy/issue_policies.hh"
+#include "policy/policy.hh"
 
 namespace smt
 {
 
-template <typename Policy>
 bool
-IssueStage<Policy>::speculationAllows(const IqSlot &slot) const
+IssueStage::speculationAllows(const IqSlot &slot) const
 {
     const ThreadState &ts = st_.threads[slot.tid];
     for (const DynInst *br : ts.unresolvedBranches) {
@@ -34,9 +33,8 @@ IssueStage<Policy>::speculationAllows(const IqSlot &slot) const
     return true;
 }
 
-template <typename Policy>
 bool
-IssueStage<Policy>::disambiguated(IqSlot &slot) const
+IssueStage::disambiguated(IqSlot &slot) const
 {
     // A load may issue once no older store of its thread with the same
     // low address bits is still pending. Younger stores never block it
@@ -63,9 +61,9 @@ IssueStage<Policy>::disambiguated(IqSlot &slot) const
     return true;
 }
 
-template <typename Policy>
+template <IssuePolicy P>
 std::size_t
-IssueStage<Policy>::gatherCandidates(InstructionQueue &queue)
+IssueStage::gatherKeyed(InstructionQueue &queue)
 {
     // One walk: release the entries whose hold time expired and gather
     // this cycle's issuable candidates from the search window, keyed
@@ -88,15 +86,34 @@ IssueStage<Policy>::gatherCandidates(InstructionQueue &queue)
         if ((slot.flags & IqSlot::kAwaitsDisambiguation) &&
             !disambiguated(slot))
             return;
-        out[n++] = {policy_.key(st_, slot), &slot};
+        out[n++] = {policy::issueKey(P, st_, slot), &slot};
     });
     sortIssueCandidates(out, n);
     return n;
 }
 
-template <typename Policy>
+std::size_t
+IssueStage::gatherCandidates(InstructionQueue &queue)
+{
+    // Switch once per queue walk, not once per candidate: with the
+    // policy a constant, issueKey() folds to its one counter read
+    // inside the walk.
+    switch (st_.cfg.issuePolicy) {
+      case IssuePolicy::OldestFirst:
+        return gatherKeyed<IssuePolicy::OldestFirst>(queue);
+      case IssuePolicy::OptLast:
+        return gatherKeyed<IssuePolicy::OptLast>(queue);
+      case IssuePolicy::SpecLast:
+        return gatherKeyed<IssuePolicy::SpecLast>(queue);
+      case IssuePolicy::BranchFirst:
+        return gatherKeyed<IssuePolicy::BranchFirst>(queue);
+    }
+    smt_panic("issue policy enum value %u out of range",
+              static_cast<unsigned>(st_.cfg.issuePolicy));
+}
+
 void
-IssueStage<Policy>::issueInst(IqSlot &slot)
+IssueStage::issueInst(IqSlot &slot)
 {
     DynInst *inst = slot.inst;
     const StaticInst &si = *inst->si;
@@ -152,9 +169,8 @@ IssueStage<Policy>::issueInst(IqSlot &slot)
         st_.pipe->onIssue(st_, inst);
 }
 
-template <typename Policy>
 void
-IssueStage<Policy>::tick()
+IssueStage::tick()
 {
     const unsigned big = 1u << 20;
     unsigned int_units =
@@ -222,14 +238,5 @@ IssueStage<Policy>::tick()
     if (!had_candidates)
         ++sl.issueNoCandidatesCycles;
 }
-
-// One instantiation per dispatch mode: the abstract base (generic
-// virtual-dispatch core) and each paper policy (the specialized cores
-// makeCoreEngine() selects).
-template class IssueStage<policy::IssuePolicy>;
-template class IssueStage<policy::OldestFirstPolicy>;
-template class IssueStage<policy::OptLastPolicy>;
-template class IssueStage<policy::SpecLastPolicy>;
-template class IssueStage<policy::BranchFirstPolicy>;
 
 } // namespace smt

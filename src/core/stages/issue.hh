@@ -1,14 +1,8 @@
 /**
  * @file
  * IssueStage: selects ready instructions from the two queues, ordered
- * by the configured IssuePolicy, within the functional-unit budgets
- * (Sections 2.1 and 6).
- *
- * Like FetchStage, the stage is a template over the policy type:
- * instantiated with the abstract policy::IssuePolicy it calls key()
- * virtually (generic engine); instantiated with a concrete `final`
- * policy the per-candidate key() call resolves statically and inlines
- * into the gather.
+ * by the configured issue policy's key (policy/policy.hh), within the
+ * functional-unit budgets (Sections 2.1 and 6).
  */
 
 #ifndef SMT_CORE_STAGES_ISSUE_HH
@@ -18,7 +12,6 @@
 #include <vector>
 
 #include "core/pipeline_state.hh"
-#include "policy/issue_policy.hh"
 
 namespace smt
 {
@@ -51,12 +44,10 @@ sortIssueCandidates(IssueCandidate *c, std::size_t n)
 }
 
 /** Issue-selection stage. */
-template <typename Policy>
 class IssueStage
 {
   public:
-    IssueStage(PipelineState &st, const Policy &pol)
-        : st_(st), policy_(pol)
+    explicit IssueStage(PipelineState &st) : st_(st)
     {
         // Candidates come from one queue's search window at a time.
         cands_.resize(st.cfg.iqSearchWindow);
@@ -68,21 +59,20 @@ class IssueStage
     /** Release and gather one queue into cands_, sorted by key;
      *  returns the candidate count. */
     std::size_t gatherCandidates(InstructionQueue &queue);
+    /** gatherCandidates() under one fixed policy `P`. */
+    template <IssuePolicy P>
+    std::size_t gatherKeyed(InstructionQueue &queue);
     /** The NoPassBranch / NoWrongPathIssue restriction (Section 7). */
     bool speculationAllows(const IqSlot &slot) const;
     bool disambiguated(IqSlot &slot) const;
     void issueInst(IqSlot &slot);
 
     PipelineState &st_;
-    const Policy &policy_;
 
     /** Per-cycle candidate scratch, one entry per window position
      *  (hoisted: no per-tick allocation). */
     std::vector<IssueCandidate> cands_;
 };
-
-// Instantiated explicitly in issue.cc for the abstract policy and each
-// paper policy.
 
 } // namespace smt
 

@@ -4,8 +4,8 @@
  * wall-clock second?
  *
  * This is a meta-benchmark of the implementation, not a result of the
- * paper: it exists so hot-path changes (policy devirtualization, the
- * SoA pipeline scans) are measured, and so CI can refuse a silent
+ * paper: it exists so hot-path changes (the SoA pipeline scans, the
+ * event-driven issue walk) are measured, and so CI can refuse a silent
  * slowdown. One library feeds both front ends — `smtsweep
  * --bench-simspeed` (no external dependencies) and the google-benchmark
  * harness in bench/ — and both emit the same BENCH_simspeed.json
@@ -15,13 +15,13 @@
  *     "schema": "smt-simspeed-v1",
  *     "host": { "cpu": ..., "hardware_threads": ... },
  *     "options": { warmup/measure cycle counts, repeats },
- *     "shapes": [ { "name", "threads", policies, "engine",
- *                   "cycles_per_sec", "ipc", "stage_ns": {...} }, ... ]
+ *     "shapes": [ { "name", "threads", policies, "cycles_per_sec",
+ *                   "ipc", "stage_ns": {...} }, ... ]
  *   }
  *
- * scripts/check-simspeed.sh compares `cycles_per_sec` per shape against
- * a committed baseline (skipping on host mismatch — wall-clock numbers
- * do not transfer between machines).
+ * scripts/simspeed-ab.sh compares `cycles_per_sec` per shape between
+ * two builds run interleaved on one host (wall-clock numbers do not
+ * transfer between machines).
  */
 
 #ifndef SMT_SIM_SIMSPEED_HH
@@ -55,7 +55,6 @@ struct Options
     std::uint64_t measureCycles = 20000;
     unsigned repeats = 3; ///< best-of-N wall-clock (noise rejection).
     bool stageBreakdown = true;
-    CoreDispatch dispatch = CoreDispatch::Auto;
 
     /** A/B the pipeline microscope (`--pipe-ab`): also measure each
      *  shape with a full-window `obs::PipeTrace` streaming to
@@ -72,7 +71,6 @@ struct ShapeResult
     unsigned threads = 0;
     std::string fetchPolicy;
     std::string issuePolicy;
-    std::string engine; ///< "specialized" or "generic".
 
     std::uint64_t cycles = 0;       ///< simulated cycles measured.
     std::uint64_t instructions = 0; ///< committed in the window.

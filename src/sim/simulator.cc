@@ -8,7 +8,7 @@ namespace smt
 
 Simulator::Simulator(const SmtConfig &cfg,
                      const std::vector<Benchmark> &mix,
-                     std::uint64_t seed_salt, CoreDispatch dispatch)
+                     std::uint64_t seed_salt)
     : cfg_(cfg)
 {
     cfg_.validate();
@@ -37,7 +37,7 @@ Simulator::Simulator(const SmtConfig &cfg,
     }
 
     core_ = std::make_unique<SmtCore>(cfg_, *mem_, *bp_, std::move(raw),
-                                      stats_, dispatch);
+                                      stats_);
 }
 
 const SimStats &

@@ -7,20 +7,23 @@
  * per-thread stall ledger included) plus a few raw counters against
  * values recorded from the pre-wakeup-cell issue stage (the per-cycle
  * DynInst rescan). A single divergent cycle anywhere changes the
- * digest. Unlike the engine matrix, which compares two engines sharing
- * one issue walk, these constants catch a regression common to both.
+ * digest.
  *
  * The grid covers every issue policy x every speculation mode x
  * {32/32, BIGQ 64/32} x {short, long register pipeline} at 4 threads,
- * plus 1-thread, 8-thread, IQPOSN, RR and infinite-functional-unit
- * spot checks. On a mismatch the failure message prints the point's
- * measured row in table syntax.
+ * plus 1-thread, 8-thread, infinite-functional-unit and one 8-thread
+ * point per fetch policy (RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN,
+ * ICOUNT+MISSCOUNT). The BRCOUNT, MISSCOUNT and ICOUNT+MISSCOUNT rows
+ * were recorded later than the rest, from the two-engine core that
+ * preceded the single enum-switched one. On a mismatch the failure
+ * message prints the point's measured row in table syntax.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -103,6 +106,9 @@ const Expected kExpected[] = {
     {"icount28/bigq/t8", "8e60002ba6367990f162bd1fcd14859c", 58106, 68447, 4282, 666365, 65444},
     {"iqposn28/t8", "5518d0fbfa212894e66d50eb19df1c1b", 59313, 70008, 4491, 671051, 40585},
     {"icount28/inffu/t8", "f93f6190c0b6d07ea6d099e3618a0cf7", 57240, 70597, 5501, 646174, 0},
+    {"brcount28/t8", "85558ffc73d415843867df8dc1212bf3", 59508, 70051, 4414, 633374, 37952},
+    {"misscount28/t8", "fa6b0a9394ded19ac91e87d61dd3964b", 58334, 68794, 4418, 627924, 38689},
+    {"icountmisscount28/t8", "d6f07873fd239498edaef3327c57cbde", 58423, 69013, 4387, 634448, 40058},
 };
 // clang-format on
 
@@ -152,6 +158,16 @@ identityGrid()
     SmtConfig iqposn = presets::icount28(8);
     iqposn.fetchPolicy = FetchPolicy::IQPosn;
     grid.push_back({"iqposn28/t8", iqposn});
+    const std::pair<const char *, FetchPolicy> fetch_points[] = {
+        {"brcount28/t8", FetchPolicy::BrCount},
+        {"misscount28/t8", FetchPolicy::MissCount},
+        {"icountmisscount28/t8", FetchPolicy::ICountMissCount},
+    };
+    for (const auto &[name, fp] : fetch_points) {
+        SmtConfig cfg = presets::icount28(8);
+        cfg.fetchPolicy = fp;
+        grid.push_back({name, cfg});
+    }
     SmtConfig inf = presets::icount28(8);
     inf.infiniteFunctionalUnits = true;
     grid.push_back({"icount28/inffu/t8", inf});

@@ -3,7 +3,7 @@
  * Mechanism tests for the issue stage's wakeup cells and queue slots,
  * on a hand-driven one-thread PipelineState: instructions enter through
  * the real rename stage (which records each source's wakeup cell), and
- * the test ticks execute and issue in the engine's order.
+ * the test ticks execute and issue in the core's order.
  *
  *  - a zero-latency Compare wakes a dependent that the policy visits
  *    after it in the same cycle, but not one visited before it;
@@ -20,7 +20,6 @@
 #include "core/stages/execute.hh"
 #include "core/stages/issue.hh"
 #include "core/stages/rename_dispatch.hh"
-#include "policy/issue_policies.hh"
 #include "workload/code_image.hh"
 
 namespace smt
@@ -28,14 +27,13 @@ namespace smt
 namespace
 {
 
-template <typename Policy>
 class IssueHarness
 {
   public:
-    IssueHarness()
-        : cfg_(presets::baseSmt(1)), mem_(cfg_, stats_), bp_(cfg_),
-          st_(cfg_, mem_, bp_, stats_), rename_(st_), execute_(st_),
-          issue_(st_, policy_)
+    explicit IssueHarness(IssuePolicy policy = IssuePolicy::OldestFirst)
+        : cfg_(withIssuePolicy(presets::baseSmt(1), policy)),
+          mem_(cfg_, stats_), bp_(cfg_), st_(cfg_, mem_, bp_, stats_),
+          rename_(st_), execute_(st_), issue_(st_)
     {
         st_.cycle = 1;
     }
@@ -58,7 +56,7 @@ class IssueHarness
         return inst;
     }
 
-    /** One machine cycle of the stages under test, in engine order. */
+    /** One machine cycle of the stages under test, in tick order. */
     void
     step()
     {
@@ -94,10 +92,17 @@ class IssueHarness
     MemoryHierarchy mem_;
     BranchPredictor bp_;
     PipelineState st_;
-    Policy policy_;
     RenameDispatchStage rename_;
     ExecuteStage execute_;
-    IssueStage<Policy> issue_;
+    IssueStage issue_;
+
+  private:
+    static SmtConfig
+    withIssuePolicy(SmtConfig cfg, IssuePolicy policy)
+    {
+        cfg.issuePolicy = policy;
+        return cfg;
+    }
 };
 
 StaticInst
@@ -114,7 +119,7 @@ op(OpClass c, LogReg dest = {}, LogReg src1 = {})
 
 TEST(IssueWakeup, ZeroLatencyCompareWakesALaterCandidateSameCycle)
 {
-    IssueHarness<policy::OldestFirstPolicy> h;
+    IssueHarness h;
     const StaticInst cmp = op(OpClass::Compare, LogReg::intReg(1));
     const StaticInst use =
         op(OpClass::IntAlu, LogReg::intReg(2), LogReg::intReg(1));
@@ -133,7 +138,7 @@ TEST(IssueWakeup, CandidateVisitedBeforeTheCompareWaitsACycle)
 {
     // BRANCH_FIRST visits the dependent branch before its Compare
     // producer, so the in-walk wakeup comes too late for it.
-    IssueHarness<policy::BranchFirstPolicy> h;
+    IssueHarness h(IssuePolicy::BranchFirst);
     const StaticInst cmp = op(OpClass::Compare, LogReg::intReg(1));
     const StaticInst br = op(OpClass::CondBranch, {}, LogReg::intReg(1));
     DynInst *producer = h.decoded(&cmp);
@@ -155,7 +160,7 @@ TEST(IssueWakeup, CandidateVisitedBeforeTheCompareWaitsACycle)
 
 TEST(IssueWakeup, LoadMissDelaysAndStaleRequeueRevokesConsumerCells)
 {
-    IssueHarness<policy::OldestFirstPolicy> h;
+    IssueHarness h;
     const StaticInst ld = op(OpClass::Load, LogReg::intReg(1));
     const StaticInst use =
         op(OpClass::IntAlu, LogReg::intReg(2), LogReg::intReg(1));
@@ -210,7 +215,7 @@ TEST(IssueWakeup, LoadMissDelaysAndStaleRequeueRevokesConsumerCells)
 
 TEST(IssueWakeup, BankConflictRequeueRevokesTheLoadsCell)
 {
-    IssueHarness<policy::OldestFirstPolicy> h;
+    IssueHarness h;
     const StaticInst ld = op(OpClass::Load, LogReg::intReg(1));
     const StaticInst use =
         op(OpClass::IntAlu, LogReg::intReg(2), LogReg::intReg(1));
@@ -246,7 +251,7 @@ TEST(IssueWakeup, BankConflictRequeueRevokesTheLoadsCell)
 
 TEST(IssueDisambiguation, BlockedOnlyWhileTheRecordedStoreIsPending)
 {
-    IssueHarness<policy::OldestFirstPolicy> h;
+    IssueHarness h;
     const Addr addr = AddressLayout::dataBase(0);
     // Each store's data operand (r5 / r6) is held unready so the store
     // stays pending as long as the test wants.

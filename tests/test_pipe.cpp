@@ -1,8 +1,8 @@
 /**
  * @file
  * Pipeline-microscope tests: attaching a pipetrace must never disturb
- * the simulation (cycle identity across every specialized policy pair
- * under both engines), every traced instruction must close (commit or
+ * the simulation (cycle identity across every (fetch, issue) policy
+ * pair), every traced instruction must close (commit or
  * squash — the `smtpipe --check` gate, green on a real file and red on
  * a truncated one), the admission window and sample period must bound
  * what is emitted, the Chrome export's lanes must never overlap, and
@@ -24,7 +24,6 @@
 #include "obs/pipe_analysis.hh"
 #include "obs/pipe_trace.hh"
 #include "obs/trace_analysis.hh"
-#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "sweep/runner.hh"
 #include "workload/mix.hh"
@@ -77,13 +76,11 @@ tempPath(const char *name)
 /** Run one traced simulation into `path` and return its stats. */
 SimStats
 tracedRun(const SmtConfig &cfg, const std::string &path,
-          const obs::PipeTraceOptions &opts,
-          CoreDispatch dispatch = CoreDispatch::Auto,
-          std::uint64_t cycles = 4000)
+          const obs::PipeTraceOptions &opts, std::uint64_t cycles = 4000)
 {
     obs::PipeTraceSink sink(path);
     obs::PipeTrace pipe(sink, opts);
-    Simulator sim(cfg, mixForRun(cfg.numThreads, 0), 0, dispatch);
+    Simulator sim(cfg, mixForRun(cfg.numThreads, 0));
     sim.attachPipeTrace(&pipe);
     sim.run(cycles);
     pipe.finish();
@@ -101,7 +98,7 @@ analyzeFile(const std::string &path)
 
 // ---- Cycle identity: tracing must be a pure observer ----------------------
 
-TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
+TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPolicyPairs)
 {
     const std::string path = tempPath("identity");
     obs::PipeTraceOptions topts;
@@ -109,23 +106,19 @@ TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
     topts.windowLast = 600;
     topts.samplePeriod = 50;
 
-    for (const PolicyPair &pair : kSpecializedPairs) {
-        SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicy = pair.fetch;
-        cfg.issuePolicy = pair.issue;
+    for (FetchPolicy fp : kFetchPolicies) {
+        for (IssuePolicy ip : kIssuePolicies) {
+            SmtConfig cfg = presets::baseSmt(4);
+            cfg.fetchPolicy = fp;
+            cfg.issuePolicy = ip;
 
-        for (CoreDispatch dispatch :
-             {CoreDispatch::Auto, CoreDispatch::ForceGeneric}) {
-            Simulator plain(cfg, mixForRun(4, 0), 0, dispatch);
+            Simulator plain(cfg, mixForRun(4, 0));
             plain.run(4000);
 
-            const SimStats traced =
-                tracedRun(cfg, path, topts, dispatch);
+            const SimStats traced = tracedRun(cfg, path, topts);
             EXPECT_TRUE(StatKey::of(plain.stats()) == StatKey::of(traced))
-                << "pipetrace disturbed " << pair.name() << " ("
-                << (dispatch == CoreDispatch::Auto ? "specialized"
-                                                   : "generic")
-                << ")";
+                << "pipetrace disturbed " << toString(fp) << "."
+                << toString(ip);
         }
     }
     std::remove(path.c_str());
@@ -234,8 +227,7 @@ TEST(PipeWindow, SamplePeriodZeroEmitsNoSamples)
     obs::PipeTraceOptions topts;
     topts.windowFirst = 0;
     topts.windowLast = 500;
-    tracedRun(presets::baseSmt(2), path, topts, CoreDispatch::Auto,
-              1500);
+    tracedRun(presets::baseSmt(2), path, topts, 1500);
     const obs::PipeAnalysis analysis = analyzeFile(path);
     ASSERT_EQ(analysis.streams.size(), 1u);
     EXPECT_TRUE(analysis.streams[0].samples.empty());

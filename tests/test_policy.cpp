@@ -1,20 +1,20 @@
 /**
  * @file
  * Unit tests for the policy layer: the priority ordering each fetch
- * policy produces on a hand-built PipelineState, the candidate ordering
- * of each issue policy, the enum -> policy factories, and a golden-stats
+ * policy's key produces on a hand-built PipelineState, the candidate
+ * ordering of each issue policy's key, and a golden-stats
  * regression pinning the refactored core to the pre-refactor cycle
  * behaviour on the RR and ICOUNT.2.8 machines.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <array>
 
 #include "core/pipeline_state.hh"
 #include "core/stages/issue.hh"
-#include "policy/fetch_policy.hh"
-#include "policy/issue_policy.hh"
+#include "policy/policy.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -42,20 +42,33 @@ class PolicyStateTest : public ::testing::Test
     {
     }
 
-    std::unique_ptr<policy::FetchPolicy>
+    static FetchPolicy
     fetchPolicy(const std::string &name)
     {
         FetchPolicy p{};
         EXPECT_TRUE(parseFetchPolicy(name, p)) << name;
-        return policy::makeFetchPolicy(p);
+        return p;
     }
 
-    std::unique_ptr<policy::IssuePolicy>
+    static IssuePolicy
     issuePolicy(const std::string &name)
     {
         IssuePolicy p{};
         EXPECT_TRUE(parseIssuePolicy(name, p)) << name;
-        return policy::makeIssuePolicy(p);
+        return p;
+    }
+
+    /** `p`'s fetch key for `tid` in the current state, with the IQPOSN
+     *  queue position taken as the fetch stage takes it. */
+    double
+    key(FetchPolicy p, ThreadID tid)
+    {
+        std::array<std::size_t, kMaxThreads> pos_int{};
+        std::array<std::size_t, kMaxThreads> pos_fp{};
+        state_.intQueue.oldestPositions(pos_int);
+        state_.fpQueue.oldestPositions(pos_fp);
+        return policy::fetchKey(p, state_, tid,
+                                std::min(pos_int[tid], pos_fp[tid]));
     }
 
     DynInst *
@@ -78,61 +91,51 @@ class PolicyStateTest : public ::testing::Test
     StaticInst alu_; // default IntAlu, no operands.
 };
 
-// ---- Factories -------------------------------------------------------------
-
-TEST(PolicyFactory, EveryEnumValueBuildsThePolicyOfItsName)
-{
-    for (FetchPolicy p : kFetchPolicies)
-        EXPECT_STREQ(policy::makeFetchPolicy(p)->name(), toString(p));
-    for (IssuePolicy p : kIssuePolicies)
-        EXPECT_STREQ(policy::makeIssuePolicy(p)->name(), toString(p));
-}
-
 // ---- Fetch policies ----------------------------------------------------------
 
 TEST_F(PolicyStateTest, RoundRobinRanksAllThreadsEqual)
 {
-    auto p = fetchPolicy("RR");
+    const FetchPolicy p = fetchPolicy("RR");
     state_.frontAndQueueCount[0] = 12;
     state_.frontAndQueueCount[1] = 0;
-    EXPECT_EQ(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
+    EXPECT_EQ(key(p, 0), key(p, 1));
 }
 
 TEST_F(PolicyStateTest, ICountPrefersThreadWithFewestInstructions)
 {
-    auto p = fetchPolicy("ICOUNT");
+    const FetchPolicy p = fetchPolicy("ICOUNT");
     state_.frontAndQueueCount[0] = 7;
     state_.frontAndQueueCount[1] = 2;
     state_.frontAndQueueCount[2] = 11;
     // Lower key = higher priority: thread 1 first, thread 2 last.
-    EXPECT_LT(p->priorityKey(state_, 1), p->priorityKey(state_, 0));
-    EXPECT_LT(p->priorityKey(state_, 0), p->priorityKey(state_, 2));
+    EXPECT_LT(key(p, 1), key(p, 0));
+    EXPECT_LT(key(p, 0), key(p, 2));
 }
 
 TEST_F(PolicyStateTest, BrCountPrefersThreadWithFewestBranches)
 {
-    auto p = fetchPolicy("BRCOUNT");
+    const FetchPolicy p = fetchPolicy("BRCOUNT");
     state_.branchCount[0] = 4;
     state_.branchCount[1] = 1;
     state_.frontAndQueueCount[0] = 1; // must not matter.
     state_.frontAndQueueCount[1] = 30;
-    EXPECT_LT(p->priorityKey(state_, 1), p->priorityKey(state_, 0));
+    EXPECT_LT(key(p, 1), key(p, 0));
 }
 
 TEST_F(PolicyStateTest, MissCountPenalizesOutstandingDCacheMisses)
 {
-    auto p = fetchPolicy("MISSCOUNT");
-    EXPECT_EQ(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
+    const FetchPolicy p = fetchPolicy("MISSCOUNT");
+    EXPECT_EQ(key(p, 0), key(p, 1));
 
     // A cold D-cache access misses; the fill is outstanding for a while.
     mem_.dataAccess(0, AddressLayout::dataBase(0), false, 0);
     ASSERT_GT(mem_.outstandingDMisses(0, 1), 0u);
-    EXPECT_GT(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
+    EXPECT_GT(key(p, 0), key(p, 1));
 }
 
 TEST_F(PolicyStateTest, IQPosnDeprioritizesThreadNearestQueueHead)
 {
-    auto p = fetchPolicy("IQPOSN");
+    const FetchPolicy p = fetchPolicy("IQPOSN");
     // Thread 0 owns the int-queue head (position 0); thread 1's oldest
     // entry sits behind it (position 2); thread 2 has nothing in the
     // int queue (sentinel position = queue size = farthest = best).
@@ -145,14 +148,13 @@ TEST_F(PolicyStateTest, IQPosnDeprioritizesThreadNearestQueueHead)
     fpop.op = OpClass::FpAlu;
     for (InstSeqNum seq = 4; seq <= 6; ++seq)
         enqueueReady(state_.fpQueue, mkInst(seq, 3, &fpop));
-    p->beginCycle(state_);
-    EXPECT_GT(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
-    EXPECT_GT(p->priorityKey(state_, 1), p->priorityKey(state_, 2));
+    EXPECT_GT(key(p, 0), key(p, 1));
+    EXPECT_GT(key(p, 1), key(p, 2));
 }
 
 TEST_F(PolicyStateTest, IQPosnConsidersBothQueues)
 {
-    auto p = fetchPolicy("IQPOSN");
+    const FetchPolicy p = fetchPolicy("IQPOSN");
     StaticInst fpop;
     fpop.op = OpClass::FpAlu;
     // Thread 0 is one slot from the int-queue head but owns the
@@ -163,22 +165,21 @@ TEST_F(PolicyStateTest, IQPosnConsidersBothQueues)
     enqueueReady(state_.intQueue, mkInst(2, 0, &alu_));
     enqueueReady(state_.fpQueue, mkInst(3, 0, &fpop));
     enqueueReady(state_.fpQueue, mkInst(4, 2, &fpop));
-    p->beginCycle(state_);
-    EXPECT_GT(p->priorityKey(state_, 0), p->priorityKey(state_, 2));
+    EXPECT_GT(key(p, 0), key(p, 2));
 }
 
 TEST_F(PolicyStateTest, HybridICountMissCountBlendsBothSignals)
 {
-    auto p = fetchPolicy("ICOUNT+MISSCOUNT");
+    const FetchPolicy p = fetchPolicy("ICOUNT+MISSCOUNT");
     state_.frontAndQueueCount[0] = 2;
     state_.frontAndQueueCount[1] = 3;
     // Without misses the hybrid degenerates to ICOUNT order...
-    EXPECT_LT(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
+    EXPECT_LT(key(p, 0), key(p, 1));
     // ...but an outstanding miss on thread 0 outweighs its small
     // occupancy edge.
     mem_.dataAccess(0, AddressLayout::dataBase(0), false, 0);
     ASSERT_GT(mem_.outstandingDMisses(0, 1), 0u);
-    EXPECT_GT(p->priorityKey(state_, 0), p->priorityKey(state_, 1));
+    EXPECT_GT(key(p, 0), key(p, 1));
 }
 
 // ---- Issue policies -----------------------------------------------------------
@@ -186,7 +187,7 @@ TEST_F(PolicyStateTest, HybridICountMissCountBlendsBothSignals)
 /** The issue order `p` gives `insts`: each is queued, keyed once and
  *  sorted by key, exactly as the issue stage's gather does. */
 std::vector<InstSeqNum>
-issueOrder(const PipelineState &st, const policy::IssuePolicy &p,
+issueOrder(const PipelineState &st, IssuePolicy p,
            const std::vector<DynInst *> &insts)
 {
     InstructionQueue q(32, 32);
@@ -194,7 +195,7 @@ issueOrder(const PipelineState &st, const policy::IssuePolicy &p,
         enqueueReady(q, inst);
     std::vector<IssueCandidate> cands;
     for (std::size_t i = 0; i < q.size(); ++i)
-        cands.push_back({p.key(st, q.slot(i)), &q.slot(i)});
+        cands.push_back({policy::issueKey(p, st, q.slot(i)), &q.slot(i)});
     sortIssueCandidates(cands.data(), cands.size());
     std::vector<InstSeqNum> order;
     for (const IssueCandidate &c : cands)
@@ -206,27 +207,27 @@ using Seqs = std::vector<InstSeqNum>;
 
 TEST_F(PolicyStateTest, OldestFirstOrdersBySequence)
 {
-    auto p = issuePolicy("OLDEST_FIRST");
+    const IssuePolicy p = issuePolicy("OLDEST_FIRST");
     const std::vector<DynInst *> cands = {
         mkInst(9, 0, &alu_), mkInst(3, 1, &alu_), mkInst(5, 0, &alu_)};
-    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{3, 5, 9}));
+    EXPECT_EQ(issueOrder(state_, p, cands), (Seqs{3, 5, 9}));
 }
 
 TEST_F(PolicyStateTest, BranchFirstHoistsControlInstructions)
 {
-    auto p = issuePolicy("BRANCH_FIRST");
+    const IssuePolicy p = issuePolicy("BRANCH_FIRST");
     StaticInst branch;
     branch.op = OpClass::CondBranch;
     const std::vector<DynInst *> cands = {mkInst(1, 0, &alu_),
                                           mkInst(8, 0, &branch),
                                           mkInst(2, 0, &alu_)};
     // The branch first, though youngest.
-    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{8, 1, 2}));
+    EXPECT_EQ(issueOrder(state_, p, cands), (Seqs{8, 1, 2}));
 }
 
 TEST_F(PolicyStateTest, SpecLastDemotesInstructionsBehindABranch)
 {
-    auto p = issuePolicy("SPEC_LAST");
+    const IssuePolicy p = issuePolicy("SPEC_LAST");
     StaticInst branch;
     branch.op = OpClass::CondBranch;
     // Thread 0 has an unresolved branch at seq 4: its seq-6 candidate
@@ -235,12 +236,12 @@ TEST_F(PolicyStateTest, SpecLastDemotesInstructionsBehindABranch)
     state_.threads[0].unresolvedBranches.push_back(br);
     const std::vector<DynInst *> cands = {mkInst(6, 0, &alu_),
                                           mkInst(9, 1, &alu_)};
-    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{9, 6}));
+    EXPECT_EQ(issueOrder(state_, p, cands), (Seqs{9, 6}));
 }
 
 TEST_F(PolicyStateTest, OptLastDemotesUnverifiedLoadDependents)
 {
-    auto p = issuePolicy("OPT_LAST");
+    const IssuePolicy p = issuePolicy("OPT_LAST");
     StaticInst consumer;
     consumer.src1 = LogReg::intReg(3);
     // The consumer's renamed source is optimistic (unverified) until
@@ -249,10 +250,10 @@ TEST_F(PolicyStateTest, OptLastDemotesUnverifiedLoadDependents)
     opt->src1Phys = 40;
     state_.intRegs.setUnverifiedUntil(40, 5);
     const std::vector<DynInst *> cands = {opt, mkInst(7, 0, &alu_)};
-    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{7, 2}));
+    EXPECT_EQ(issueOrder(state_, p, cands), (Seqs{7, 2}));
     // Once verified, age order returns.
     state_.intRegs.setUnverifiedUntil(40, 0);
-    EXPECT_EQ(issueOrder(state_, *p, cands), (Seqs{2, 7}));
+    EXPECT_EQ(issueOrder(state_, p, cands), (Seqs{2, 7}));
 }
 
 // ---- Golden-stats regression ---------------------------------------------------

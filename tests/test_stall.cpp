@@ -2,15 +2,12 @@
  * @file
  * Stall-accounting invariants: the per-cause counters added for the
  * observability work must form a closed ledger, not an approximation.
- * For every specialized policy pair (under both the specialized and the
- * generic core engine):
+ * For every (fetch, issue) policy pair:
  *
  *  - fetch dispositions partition time: per thread, the five fetch
  *    outcome counters sum exactly to the run's cycle count (exactly
  *    one disposition is recorded per thread per cycle);
- *  - the human stall report's grand total equals totalStalledSlots();
- *  - the specialized and generic engines agree on every stall counter
- *    (cycle identity extends to the new accounting).
+ *  - the human stall report's grand total equals totalStalledSlots().
  *
  * An ideal machine (single thread, no misses, infinite FUs/registers/
  * bandwidth, perfect prediction) zeroes every *machine-loss* cause;
@@ -22,7 +19,6 @@
 #include <cstring>
 #include <string>
 
-#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -76,43 +72,18 @@ checkLedger(const SimStats &stats, unsigned threads,
         << report;
 }
 
-bool
-stallStatsEqual(const StallStats &a, const StallStats &b)
+TEST(StallAccounting, LedgerClosesForEveryPolicyPair)
 {
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        if (a.fetchActive[t] != b.fetchActive[t]
-            || a.fetchIcacheMiss[t] != b.fetchIcacheMiss[t]
-            || a.fetchFrontEndFull[t] != b.fetchFrontEndFull[t]
-            || a.fetchNoTarget[t] != b.fetchNoTarget[t]
-            || a.fetchLostSelection[t] != b.fetchLostSelection[t]
-            || a.renameIQFull[t] != b.renameIQFull[t]
-            || a.renameNoRegisters[t] != b.renameNoRegisters[t]
-            || a.issueOperandWait[t] != b.issueOperandWait[t]
-            || a.issueFuBusy[t] != b.issueFuBusy[t])
-            return false;
-    }
-    return a.issueNoCandidatesCycles == b.issueNoCandidatesCycles;
-}
-
-TEST(StallAccounting, LedgerClosesForEveryPairUnderBothEngines)
-{
-    for (const PolicyPair &pair : kSpecializedPairs) {
-        SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicy = pair.fetch;
-        cfg.issuePolicy = pair.issue;
-        const std::string what = pair.name();
-
-        Simulator spec(cfg, mixForRun(4, 0), 0, CoreDispatch::Auto);
-        Simulator gen(cfg, mixForRun(4, 0), 0,
-                      CoreDispatch::ForceGeneric);
-        spec.run(6000);
-        gen.run(6000);
-
-        checkLedger(spec.stats(), 4, what + " (specialized)");
-        checkLedger(gen.stats(), 4, what + " (generic)");
-        EXPECT_TRUE(stallStatsEqual(spec.stats().stalls,
-                                    gen.stats().stalls))
-            << "stall accounting diverged between engines for " << what;
+    for (FetchPolicy fp : kFetchPolicies) {
+        for (IssuePolicy ip : kIssuePolicies) {
+            SmtConfig cfg = presets::baseSmt(4);
+            cfg.fetchPolicy = fp;
+            cfg.issuePolicy = ip;
+            Simulator sim(cfg, mixForRun(4, 0));
+            sim.run(6000);
+            checkLedger(sim.stats(), 4,
+                        std::string(toString(fp)) + "." + toString(ip));
+        }
     }
 }
 
