@@ -134,15 +134,36 @@ SmtCore::validateInvariants() const
             smt_assert(inst->stage != InstStage::Executed,
                        "executed store seq %llu still pending",
                        static_cast<unsigned long long>(inst->seq));
+        // The decoded entries are a prefix of the front end, and every
+        // stage timestamp is in a past cycle: fetch runs after decode
+        // and decode after rename in the stage walk, so neither stage
+        // ever meets an entry its predecessor handled this cycle.
         prev_seq = 0;
+        std::size_t pos = 0;
         for (const DynInst *inst : ts.frontEnd) {
             smt_assert(inst->seq > prev_seq,
                        "front end not in program order");
             prev_seq = inst->seq;
-            smt_assert(inst->stage == InstStage::Fetched ||
-                       inst->stage == InstStage::Decoded);
+            const bool decoded = pos++ < ts.frontEndDecoded;
+            smt_assert(inst->stage == (decoded ? InstStage::Decoded
+                                               : InstStage::Fetched),
+                       "front-end entry %zu of %zu decoded is in stage %u",
+                       pos - 1, ts.frontEndDecoded,
+                       static_cast<unsigned>(inst->stage));
+            smt_assert(inst->fetchCycle < state_.cycle);
+            smt_assert(!decoded || inst->decodeCycle < state_.cycle);
+        }
+        InstSeqNum prev_branch = 0;
+        for (const DynInst *br : ts.unresolvedBranches) {
+            smt_assert(br->seq > prev_branch && br->isControl(),
+                       "unresolved branches not in program order");
+            prev_branch = br->seq;
         }
     }
+    for (std::size_t i = 0; i < state_.inFlight.size(); ++i)
+        smt_assert(state_.inFlight[i]->inFlightIdx == i,
+                   "inFlight member %zu records index %u", i,
+                   state_.inFlight[i]->inFlightIdx);
     const unsigned arch = kLogRegsPerFile * state_.numThreads;
     smt_assert(state_.intRegs.freeCount() + arch + in_flight_int ==
                    state_.intRegs.physRegs(),
@@ -156,8 +177,33 @@ SmtCore::validateInvariants() const
                state_.fpRegs.freeCount(), arch, in_flight_fp,
                state_.fpRegs.physRegs());
 
-    smt_assert(state_.intQueue.size() <= state_.intQueue.capacity());
-    smt_assert(state_.fpQueue.size() <= state_.fpQueue.capacity());
+    // Queue entries entered in a past cycle (issue runs before rename),
+    // and every parked entry waits on a kCycleNever cell that holds its
+    // current wakeup handle, so the write that ends its wait finds it.
+    for (const InstructionQueue *q : {&state_.intQueue, &state_.fpQueue}) {
+        smt_assert(q->size() <= q->capacity());
+        q->forEachSlot([&](const IqSlot &s) {
+            smt_assert(s.inst->renameCycle < state_.cycle);
+        });
+        q->validateParked();
+        const bool fp = q == &state_.fpQueue;
+        for (const ParkedEntry &e : q->parked()) {
+            const IqSlot &s = q->physSlot(e.slot);
+            const RegisterFileState &rf =
+                state_.intRegs.holdsCell(s.parkedCell()) ? state_.intRegs
+                                                         : state_.fpRegs;
+            smt_assert(rf.holdsCell(s.parkedCell()));
+            const auto reg =
+                static_cast<PhysRegIndex>(rf.regOfCell(s.parkedCell()));
+            bool found = false;
+            for (const ParkedRef ref : rf.waiters(reg))
+                found = found || (ref.slot == e.slot && ref.fpQueue == fp &&
+                                  ref.gen == s.parkGen);
+            smt_assert(found, "parked seq %llu has no wakeup handle on "
+                              "register %u",
+                       static_cast<unsigned long long>(s.seq), reg);
+        }
+    }
 }
 
 void

@@ -73,6 +73,8 @@ struct DynInst
     bool mispredicted = false;  ///< resolved against the prediction.
     bool optimistic = false;    ///< issued on an unverified load result.
     bool inIntQueue = false;    ///< which IQ holds/held it.
+    /** Position in PipelineState::inFlight while issued. */
+    std::uint32_t inFlightIdx = 0;
 
     bool isLoad() const { return si->isLoad(); }
     bool isStore() const { return si->isStore(); }

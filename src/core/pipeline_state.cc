@@ -53,9 +53,14 @@ PipelineState::isOptimisticNow(const DynInst *inst) const
 void
 PipelineState::releaseInst(DynInst *inst)
 {
-    ThreadState &ts = threads[inst->tid];
-    if (inst->isControl())
-        std::erase(ts.unresolvedBranches, inst);
+    if (inst->isControl()) {
+        // Commit is in order, so the committed branch is the oldest.
+        Ring<DynInst *> &branches = threads[inst->tid].unresolvedBranches;
+        smt_assert(!branches.empty() && branches.front() == inst,
+                   "committed branch seq %llu is not the oldest unresolved",
+                   static_cast<unsigned long long>(inst->seq));
+        branches.pop_front();
+    }
     pool.release(inst);
 }
 
@@ -67,6 +72,8 @@ PipelineState::dropFrontEndYounger(ThreadState &ts, const DynInst *from)
         DynInst *inst = ts.frontEnd.back();
         smt_assert(inst->seq > from->seq);
         ts.frontEnd.pop_back();
+        if (inst->stage == InstStage::Decoded)
+            --ts.frontEndDecoded;
         --frontAndQueueCount[inst->tid];
         if (inst->isControl())
             --branchCount[inst->tid];

@@ -15,6 +15,7 @@
 #define SMT_CORE_PIPELINE_STATE_HH
 
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "branch/predictor.hh"
@@ -54,12 +55,19 @@ struct ThreadState
     /** Fetched but not yet renamed, in order (fetch/decode buffer). */
     Ring<DynInst *> frontEnd;
 
+    /** How many entries at the front of frontEnd are decoded: decode
+     *  and rename are both in order, so the decoded entries form a
+     *  prefix and frontEnd[frontEndDecoded] is the next to decode. */
+    std::size_t frontEndDecoded = 0;
+
     /** Renamed and not yet committed, in order (the thread's ROB). */
     Ring<DynInst *> rob;
 
-    /** In-flight (renamed, unexecuted) control instructions, used by
-     *  the SPEC_LAST policy and the speculation-mode restrictions. */
-    std::vector<DynInst *> unresolvedBranches;
+    /** Renamed, uncommitted control instructions in program order,
+     *  used by the SPEC_LAST policy and the speculation-mode
+     *  restrictions (which skip the executed ones). Commit pops the
+     *  front; a squash pops the back. */
+    Ring<DynInst *> unresolvedBranches;
 
     /** In-flight (renamed, unexecuted) stores, for disambiguation. */
     std::vector<DynInst *> pendingStores;
@@ -72,6 +80,30 @@ struct ThreadState
      *  instruction of this thread must carry. */
     std::uint64_t nextCommitStreamIdx = 0;
 };
+
+/** "No candidate" in a per-thread array of head seqs. */
+inline constexpr InstSeqNum kNoHead =
+    std::numeric_limits<InstSeqNum>::max();
+
+/**
+ * The thread among the first `n` whose head seq is the oldest, or
+ * kMaxThreads when every head is kNoHead. Seqs are unique, so the
+ * pick is the same whatever the scan order. Decode and rename select
+ * their globally oldest candidate this way.
+ */
+inline unsigned
+oldestHead(const std::array<InstSeqNum, kMaxThreads> &head, unsigned n)
+{
+    unsigned best = kMaxThreads;
+    InstSeqNum best_seq = kNoHead;
+    for (unsigned t = 0; t < n; ++t) {
+        if (head[t] < best_seq) {
+            best_seq = head[t];
+            best = t;
+        }
+    }
+    return best;
+}
 
 /** All machine state the pipeline stages operate on. */
 struct PipelineState
@@ -141,8 +173,26 @@ struct PipelineState
         return execRing[c & (kExecRingSlots - 1)];
     }
 
-    /** Issued-but-not-executed, for optimistic-squash scans. */
+    /** Issued-but-not-executed, for optimistic-squash scans; an
+     *  unordered set whose members know their index (inFlightIdx). */
     std::vector<DynInst *> inFlight;
+
+    void
+    addInFlight(DynInst *inst)
+    {
+        inst->inFlightIdx = static_cast<std::uint32_t>(inFlight.size());
+        inFlight.push_back(inst);
+    }
+
+    /** Swap-remove the member at index `i`. */
+    void
+    removeInFlightAt(std::size_t i)
+    {
+        DynInst *last = inFlight.back();
+        inFlight[i] = last;
+        last->inFlightIdx = static_cast<std::uint32_t>(i);
+        inFlight.pop_back();
+    }
 
     unsigned rrBase = 0;     ///< round-robin rotation for fetch.
     unsigned commitBase = 0; ///< round-robin rotation for commit.
@@ -180,8 +230,8 @@ struct PipelineState
     bool isOptimisticNow(const DynInst *inst) const;
 
     /** Return a committed instruction to the pool, dropping it from
-     *  unresolvedBranches (a store left pendingStores when it
-     *  executed). */
+     *  the front of unresolvedBranches (a store left pendingStores when
+     *  it executed). */
     void releaseInst(DynInst *inst);
 
     /**

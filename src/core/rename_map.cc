@@ -15,6 +15,9 @@ RegisterFileState::RegisterFileState(unsigned num_threads,
 
     readyAt_.assign(phys_regs, 0);
     unverifiedUntil_.assign(phys_regs, 0);
+    sameCycleWake_.assign(phys_regs, 0);
+    waiters_.resize(std::size_t{phys_regs} * kWaitersPerReg);
+    waiterCount_.assign(phys_regs, 0);
 
     // Identity-map the architectural registers of each live context;
     // everything else starts on the free list.
@@ -30,7 +33,8 @@ RegisterFileState::RegisterFileState(unsigned num_threads,
 }
 
 std::pair<PhysRegIndex, PhysRegIndex>
-RegisterFileState::rename(ThreadID tid, LogRegIndex log)
+RegisterFileState::rename(ThreadID tid, LogRegIndex log,
+                          bool same_cycle_wake)
 {
     smt_assert(!freeList_.empty());
     const PhysRegIndex fresh = freeList_.back();
@@ -40,6 +44,10 @@ RegisterFileState::rename(ThreadID tid, LogRegIndex log)
     map_[tid][log] = fresh;
     readyAt_[fresh] = kCycleNever;
     unverifiedUntil_[fresh] = 0;
+    sameCycleWake_[fresh] = same_cycle_wake;
+    // A free register has no live consumer: any handle still parked on
+    // it belongs to a squashed entry.
+    waiterCount_[fresh] = 0;
     return {fresh, prev};
 }
 

@@ -8,39 +8,48 @@
 namespace smt
 {
 
+namespace
+{
+
+/** Seq of thread `ts`'s next instruction to decode, kNoHead if none.
+ *  Fetch runs after decode in the stage walk, so every fetched entry
+ *  was fetched in an earlier cycle and is eligible. */
+InstSeqNum
+nextToDecode(const ThreadState &ts)
+{
+    return ts.frontEndDecoded < ts.frontEnd.size()
+               ? ts.frontEnd[ts.frontEndDecoded]->seq
+               : kNoHead;
+}
+
+} // namespace
+
 void
 DecodeStage::tick()
 {
     obs::PipeTrace *const pipe = st_.pipe;
     unsigned budget = st_.cfg.decodeWidth;
-    std::array<std::size_t, kMaxThreads> idx{};
+
+    // Age-ordered shared decode bandwidth: each pick is the globally
+    // oldest decodable instruction. Decoding one thread's instruction
+    // changes no other thread's next candidate, so only the winner's
+    // head is refreshed.
+    std::array<InstSeqNum, kMaxThreads> head;
+    for (unsigned t = 0; t < st_.numThreads; ++t)
+        head[t] = nextToDecode(st_.threads[t]);
 
     while (budget > 0) {
-        DynInst *best = nullptr;
-        for (unsigned t = 0; t < st_.numThreads; ++t) {
-            ThreadState &ts = st_.threads[t];
-            // Skip past already-decoded entries waiting for rename;
-            // decode is in-order, so the next Fetched entry is eligible.
-            while (idx[t] < ts.frontEnd.size() &&
-                   ts.frontEnd[idx[t]]->stage != InstStage::Fetched)
-                ++idx[t];
-            if (idx[t] >= ts.frontEnd.size())
-                continue;
-            DynInst *cand = ts.frontEnd[idx[t]];
-            if (cand->fetchCycle >= st_.cycle)
-                continue;
-            if (best == nullptr || cand->seq < best->seq)
-                best = cand;
-        }
-        if (best == nullptr)
+        const unsigned t = oldestHead(head, st_.numThreads);
+        if (t == kMaxThreads)
             break;
 
-        ThreadState &ts = st_.threads[best->tid];
+        ThreadState &ts = st_.threads[t];
+        DynInst *best = ts.frontEnd[ts.frontEndDecoded];
         best->stage = InstStage::Decoded;
         best->decodeCycle = st_.cycle;
         if (pipe != nullptr)
             pipe->onDecode(st_, best);
-        ++idx[best->tid];
+        ++ts.frontEndDecoded;
         --budget;
 
         // Misfetch detection: decode can compute direct targets, so a
@@ -71,6 +80,7 @@ DecodeStage::tick()
             }
             st_.bp.updateTarget(best->tid, best->pc, expected, false);
         }
+        head[t] = nextToDecode(ts);
     }
 }
 

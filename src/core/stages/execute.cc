@@ -31,14 +31,10 @@ void
 ExecuteStage::executeInst(DynInst *inst)
 {
     smt_assert(inst->stage == InstStage::Issued);
-    // Swap-remove: inFlight is an unordered membership set (the
-    // requeue cascade visits every element regardless of position), so
-    // the tail shift of an ordered erase buys nothing.
-    auto it = std::find(st_.inFlight.begin(), st_.inFlight.end(), inst);
-    if (it != st_.inFlight.end()) {
-        *it = st_.inFlight.back();
-        st_.inFlight.pop_back();
-    }
+    smt_assert(st_.inFlight[inst->inFlightIdx] == inst,
+               "issued seq %llu lost its inFlight index",
+               static_cast<unsigned long long>(inst->seq));
+    st_.removeInFlightAt(inst->inFlightIdx);
 
     if (inst->isLoad()) {
         executeLoad(inst);
@@ -183,8 +179,7 @@ ExecuteStage::requeueDependents(RegFile f, PhysRegIndex reg)
             // draining right now.
             smt_assert(inst->issueCycle + st_.execOffset > st_.cycle);
             ++st_.stats.optimisticSquashes;
-            st_.inFlight[i] = st_.inFlight.back();
-            st_.inFlight.pop_back();
+            st_.removeInFlightAt(i);
             std::vector<DynInst *> &bucket =
                 st_.execBucket(inst->issueCycle + st_.execOffset);
             std::erase(bucket, inst);

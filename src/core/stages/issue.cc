@@ -11,6 +11,28 @@
 namespace smt
 {
 
+namespace
+{
+
+/** "No budget ran out" as an exhaustion key: above every issue key. */
+constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+} // namespace
+
+IssueStage::IssueStage(PipelineState &st) : st_(st)
+{
+    // Candidates come from one queue's search window at a time.
+    cands_.resize(st.cfg.iqSearchWindow);
+    const bool fixed_key = st.cfg.issuePolicy == IssuePolicy::OldestFirst ||
+                           st.cfg.issuePolicy == IssuePolicy::BranchFirst;
+    const bool full_speculation =
+        st.cfg.speculation == SpeculationMode::Full;
+    parks_[0] = fixed_key && full_speculation &&
+                st.intQueue.windowCoversQueue();
+    parks_[1] = fixed_key && full_speculation &&
+                st.fpQueue.windowCoversQueue();
+}
+
 bool
 IssueStage::speculationAllows(const IqSlot &slot) const
 {
@@ -61,32 +83,79 @@ IssueStage::disambiguated(IqSlot &slot) const
     return true;
 }
 
+bool
+IssueStage::park(InstructionQueue &queue, IqSlot &slot, std::uint64_t key,
+                 const Cycle *cell, bool on_src2)
+{
+    RegisterFileState &rf =
+        st_.intRegs.holdsCell(cell) ? st_.intRegs : st_.fpRegs;
+    const auto p = static_cast<PhysRegIndex>(rf.regOfCell(cell));
+    if (!rf.hasWaiterRoom(p))
+        return false;
+    const std::uint16_t gen = queue.park(slot, key, on_src2);
+    rf.addWaiter(p, {gen, queue.slotIndex(slot),
+                     &queue == &st_.fpQueue});
+    return true;
+}
+
+void
+IssueStage::wakeParked()
+{
+    auto wake = [this](ParkedRef ref) {
+        (ref.fpQueue ? st_.fpQueue : st_.intQueue).unpark(ref.slot, ref.gen);
+    };
+    st_.intRegs.drainWoken(wake);
+    st_.fpRegs.drainWoken(wake);
+}
+
 template <IssuePolicy P>
 std::size_t
 IssueStage::gatherKeyed(InstructionQueue &queue)
 {
     // One walk: release the entries whose hold time expired and gather
     // this cycle's issuable candidates from the search window, keyed
-    // by the policy, then sort by key.
+    // by the policy, then sort by key. A candidate that cannot issue
+    // this cycle because it waits on an unissued producer parks
+    // instead, when the queue parks.
     //
-    // Readiness is deliberately NOT checked here: a zero-latency
-    // producer (Compare, Table 1) issuing earlier in this same tick
-    // makes its dependents ready within the cycle, so the readiness
-    // test must stay in the issue loop, after the policy ordering.
+    // Readiness is otherwise NOT checked here: a zero-latency producer
+    // (Compare, Table 1) issuing earlier in this same tick makes its
+    // dependents ready within the cycle, so the readiness test must
+    // stay in the issue loop, after the policy ordering.
     IssueCandidate *const out = cands_.data();
     std::size_t n = 0;
     const Cycle now = st_.cycle;
     const bool full_speculation =
         st_.cfg.speculation == SpeculationMode::Full;
+    // parks_ already excludes OPT_LAST and SPEC_LAST; the constant
+    // also drops the parking code from their instantiations.
+    constexpr bool kFixedKey = P == IssuePolicy::OldestFirst ||
+                               P == IssuePolicy::BranchFirst;
+    const bool parks = kFixedKey && parks_[&queue == &st_.fpQueue];
     queue.releaseAndGather(now, [&](IqSlot &slot) {
-        if (slot.renameCycle >= now)
-            return; // entered the queue this cycle.
         if (!full_speculation && !speculationAllows(slot))
             return;
         if ((slot.flags & IqSlot::kAwaitsDisambiguation) &&
             !disambiguated(slot))
             return;
-        out[n++] = {policy::issueKey(P, st_, slot), &slot};
+        const std::uint64_t key = policy::issueKey(P, st_, slot);
+        if (parks) {
+            // Only a zero-latency producer writes a cell equal to the
+            // current cycle; every other issue writes a later one. So a
+            // source whose cell is kCycleNever and whose producer is
+            // not zero-latency keeps the entry from issuing this cycle,
+            // wherever the walk reaches it. (Both cells are always
+            // readable, so the tests combine without branches.)
+            const bool on1 = ((slot.flags & IqSlot::kParks1) != 0) &
+                             (*slot.wake1 == kCycleNever);
+            const bool on2 = ((slot.flags & IqSlot::kParks2) != 0) &
+                             (*slot.wake2 == kCycleNever);
+            if ((on1 | on2) &&
+                park(queue, slot, key, on1 ? slot.wake1 : slot.wake2,
+                     !on1))
+                return;
+        }
+        out[n++] = {key, &slot};
     });
     sortIssueCandidates(out, n);
     return n;
@@ -157,7 +226,7 @@ IssueStage::issueInst(IqSlot &slot)
     slot.release = release;
 
     st_.execBucket(st_.cycle + st_.execOffset).push_back(inst);
-    st_.inFlight.push_back(inst);
+    st_.addInFlight(inst);
 
     --st_.frontAndQueueCount[inst->tid];
     if (inst->isControl())
@@ -170,8 +239,31 @@ IssueStage::issueInst(IqSlot &slot)
 }
 
 void
+IssueStage::tallyParked(const InstructionQueue &queue,
+                        std::uint64_t unit_out, std::uint64_t ls_out,
+                        std::uint32_t *wait, std::uint32_t *busy) const
+{
+    if (unit_out == kNoKey && ls_out == kNoKey) {
+        for (unsigned t = 0; t < st_.numThreads; ++t)
+            wait[t] += queue.parkedCount(static_cast<ThreadID>(t));
+        return;
+    }
+    for (const ParkedEntry &e : queue.parked()) {
+        if (e.key > unit_out || (e.memory && e.key > ls_out))
+            ++busy[e.tid];
+        else
+            ++wait[e.tid];
+    }
+}
+
+void
 IssueStage::tick()
 {
+    // Cells written outside this stage since its last tick (in a
+    // running machine only issue turns a kCycleNever cell into a
+    // cycle, so this finds nothing; tests write cells directly).
+    wakeParked();
+
     const unsigned big = 1u << 20;
     unsigned int_units =
         st_.cfg.infiniteFunctionalUnits ? big : st_.cfg.intUnits;
@@ -189,10 +281,16 @@ IssueStage::tick()
     std::array<std::uint32_t, kMaxThreads> wait_skips{};
     std::array<std::uint32_t, kMaxThreads> busy_skips{};
 
+    // The key whose issue spent each unit budget (kNoKey while units
+    // remain): the parked entries' share of the ledger splits there.
+    std::uint64_t int_out = int_units == 0 ? 0 : kNoKey;
+    std::uint64_t ls_out = ls_units == 0 ? 0 : kNoKey;
+    std::uint64_t fp_out = fp_units == 0 ? 0 : kNoKey;
+
     const Cycle now = st_.cycle;
     const IssueCandidate *const cand = cands_.data();
     std::size_t n = gatherCandidates(st_.intQueue);
-    bool had_candidates = n > 0;
+    bool had_candidates = n > 0 || st_.intQueue.parkedCount() > 0;
     std::size_t c = 0;
     for (; c < n; ++c) {
         IqSlot &slot = *cand[c].slot;
@@ -206,16 +304,20 @@ IssueStage::tick()
             ++wait_skips[slot.tid];
             continue;
         }
-        --int_units;
-        if (slot.isMemory())
-            --ls_units;
+        if (--int_units == 0)
+            int_out = cand[c].key;
+        if (slot.isMemory() && --ls_units == 0)
+            ls_out = cand[c].key;
         issueInst(slot);
     }
     for (; c < n; ++c)
         ++busy_skips[cand[c].slot->tid]; // lost to the unit budget.
+    tallyParked(st_.intQueue, int_out, ls_out, wait_skips.data(),
+                busy_skips.data());
 
     n = gatherCandidates(st_.fpQueue);
-    had_candidates = had_candidates || n > 0;
+    had_candidates =
+        had_candidates || n > 0 || st_.fpQueue.parkedCount() > 0;
     for (c = 0; c < n; ++c) {
         IqSlot &slot = *cand[c].slot;
         if (fp_units == 0)
@@ -224,11 +326,14 @@ IssueStage::tick()
             ++wait_skips[slot.tid];
             continue;
         }
-        --fp_units;
+        if (--fp_units == 0)
+            fp_out = cand[c].key;
         issueInst(slot);
     }
     for (; c < n; ++c)
         ++busy_skips[cand[c].slot->tid];
+    tallyParked(st_.fpQueue, fp_out, kNoKey, wait_skips.data(),
+                busy_skips.data());
 
     StallStats &sl = st_.stats.stalls;
     for (unsigned t = 0; t < st_.numThreads; ++t) {
@@ -237,6 +342,10 @@ IssueStage::tick()
     }
     if (!had_candidates)
         ++sl.issueNoCandidatesCycles;
+
+    // This cycle's issues wrote their results' cells: their parked
+    // consumers rejoin the walk next cycle.
+    wakeParked();
 }
 
 } // namespace smt

@@ -43,6 +43,7 @@ SquashStage::squashThread(ThreadID tid, DynInst *branch)
             pipe->onSquash(st_, inst, "mispredict");
         st_.pool.release(inst);
     }
+    ts.frontEndDecoded = 0;
 
     // Unwind the ROB youngest-first down to (not including) the branch.
     squashed_.clear();
@@ -72,12 +73,17 @@ SquashStage::squashThread(ThreadID tid, DynInst *branch)
         st_.intQueue.removeIf(is_squashed);
         st_.fpQueue.removeIf(is_squashed);
         std::erase_if(st_.inFlight, is_squashed);
+        for (std::size_t i = 0; i < st_.inFlight.size(); ++i)
+            st_.inFlight[i]->inFlightIdx = static_cast<std::uint32_t>(i);
         // Exec-ring slots for past cycles have been drained, so a
         // sweep over all slots touches exactly the still-pending
         // buckets the cycle-keyed map used to.
         for (std::vector<DynInst *> &bucket : st_.execRing)
             std::erase_if(bucket, is_squashed);
-        std::erase_if(ts.unresolvedBranches, is_squashed);
+        // Program order: the squashed branches are the youngest.
+        while (!ts.unresolvedBranches.empty() &&
+               is_squashed(ts.unresolvedBranches.back()))
+            ts.unresolvedBranches.pop_back();
         std::erase_if(ts.pendingStores, is_squashed);
         if (ts.pendingSquash != nullptr &&
             ts.pendingSquash->seq > branch->seq)

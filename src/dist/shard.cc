@@ -71,11 +71,7 @@ assignmentFromManifest(const sweep::Json &manifest,
 double
 estimatedPointCost(const sweep::SweepPoint &point)
 {
-    const MeasureOptions &opts = point.options;
-    const double cycles =
-        static_cast<double>(opts.warmupCycles + opts.cyclesPerRun);
-    const double width = point.threads >= 1 ? point.threads : 1;
-    return cycles * opts.runs * width;
+    return sweep::runCost(point) * point.options.runs;
 }
 
 CostHints

@@ -3,40 +3,6 @@
 namespace smt
 {
 
-bool
-isControl(OpClass c)
-{
-    switch (c) {
-      case OpClass::CondBranch:
-      case OpClass::Jump:
-      case OpClass::Call:
-      case OpClass::Return:
-      case OpClass::IndirectJump:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isIndirectControl(OpClass c)
-{
-    return c == OpClass::Return || c == OpClass::IndirectJump;
-}
-
-bool
-isFloatOp(OpClass c)
-{
-    switch (c) {
-      case OpClass::FpAlu:
-      case OpClass::FpDiv:
-      case OpClass::FpDivLong:
-        return true;
-      default:
-        return false;
-    }
-}
-
 const char *
 opClassName(OpClass c)
 {

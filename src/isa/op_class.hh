@@ -40,13 +40,30 @@ constexpr unsigned kNumOpClasses =
     static_cast<unsigned>(OpClass::NumOpClasses);
 
 /** True for any instruction that can redirect control flow. */
-bool isControl(OpClass c);
+inline bool
+isControl(OpClass c)
+{
+    switch (c) {
+      case OpClass::CondBranch:
+      case OpClass::Jump:
+      case OpClass::Call:
+      case OpClass::Return:
+      case OpClass::IndirectJump:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for conditional branches only. */
 inline bool isCondBranch(OpClass c) { return c == OpClass::CondBranch; }
 
 /** True for control transfers whose target must be predicted (BTB/RAS). */
-bool isIndirectControl(OpClass c);
+inline bool
+isIndirectControl(OpClass c)
+{
+    return c == OpClass::Return || c == OpClass::IndirectJump;
+}
 
 /** True for loads and stores. */
 inline bool
@@ -56,7 +73,18 @@ isMemory(OpClass c)
 }
 
 /** True when the op executes in the floating-point pipeline/queue. */
-bool isFloatOp(OpClass c);
+inline bool
+isFloatOp(OpClass c)
+{
+    switch (c) {
+      case OpClass::FpAlu:
+      case OpClass::FpDiv:
+      case OpClass::FpDivLong:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** Short mnemonic for tracing. */
 const char *opClassName(OpClass c);

@@ -239,8 +239,7 @@ PipeTrace::endCycle(const PipelineState &st)
     // Per-thread IQ residency: one pass over both queues.
     std::array<std::uint64_t, kMaxThreads> iq{};
     for (const InstructionQueue *q : {&st.intQueue, &st.fpQueue})
-        for (std::size_t i = 0; i < q->size(); ++i)
-            ++iq[q->at(i)->tid];
+        q->forEachSlot([&](const IqSlot &s) { ++iq[s.tid]; });
 
     const unsigned threads = st.numThreads;
     sweep::Json fields = sweep::Json::object();

@@ -1,5 +1,6 @@
 #include "sweep/runner.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -81,6 +82,31 @@ makePipeTrace(const RunnerOptions &ropts, const std::string &digest,
 }
 
 } // namespace
+
+double
+runCost(const SweepPoint &point)
+{
+    const MeasureOptions &opts = point.options;
+    const double cycles =
+        static_cast<double>(opts.warmupCycles + opts.cyclesPerRun);
+    return cycles * (point.threads >= 1 ? point.threads : 1);
+}
+
+std::vector<RunRef>
+longestFirst(const std::vector<SweepPoint> &points,
+             const std::vector<std::size_t> &indices)
+{
+    std::vector<RunRef> order;
+    for (const std::size_t i : indices)
+        for (unsigned r = 0; r < points[i].options.runs; ++r)
+            order.push_back({i, r});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const RunRef &a, const RunRef &b) {
+                         return runCost(points[a.point]) >
+                                runCost(points[b.point]);
+                     });
+    return order;
+}
 
 std::vector<PointResult>
 runPoints(const std::vector<SweepPoint> &points, const RunnerOptions &ropts)
@@ -228,37 +254,48 @@ runPoints(const std::vector<SweepPoint> &points, const RunnerOptions &ropts)
             span("claimed", result, -1.0, claim_us);
         }
         if (p.duplicateOf == SIZE_MAX && ropts.measure.parallel) {
-            p.runs.reserve(point.options.runs);
+            p.runs.resize(point.options.runs);
             p.runSeconds = std::make_shared<std::vector<double>>(
                 point.options.runs, 0.0);
-            // The SweepPoint lives in the caller's vector for the whole
-            // sweep; capture by reference. `result` (for the digest)
-            // and `ropts` outlive the pool work the same way.
-            for (unsigned r = 0; r < point.options.runs; ++r) {
-                auto seconds = p.runSeconds;
-                p.runs.push_back(pool.submit([&point, r, seconds,
-                                              &ropts, &result] {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    std::unique_ptr<obs::PipeTrace> pipe =
-                        makePipeTrace(ropts, result.digest, point, r);
-                    SimStats stats = measureRun(point.config, r,
-                                                point.options,
-                                                pipe.get());
-                    if (pipe != nullptr)
-                        pipe->finish();
-                    (*seconds)[r] = std::chrono::duration<double>(
-                                        std::chrono::steady_clock::now()
-                                        - t0)
-                                        .count();
-                    return stats;
-                }));
-            }
         }
         if (ropts.verbose)
             smt_inform("sweep: [miss] %s (%s)%s", point.label.c_str(),
                        result.digest.c_str(),
                        p.duplicateOf != SIZE_MAX ? " [duplicate]" : "");
         pending.push_back(std::move(p));
+    }
+
+    // Queue every parallel run, longest first. The SweepPoint lives in
+    // the caller's vector for the whole sweep; capture by reference.
+    // `result` (for the digest) and `ropts` outlive the pool work the
+    // same way.
+    std::vector<std::size_t> parallel;
+    std::vector<Pending *> pending_of(points.size(), nullptr);
+    for (Pending &p : pending) {
+        if (!p.runs.empty()) {
+            parallel.push_back(p.index);
+            pending_of[p.index] = &p;
+        }
+    }
+    for (const RunRef &ref : longestFirst(points, parallel)) {
+        Pending &p = *pending_of[ref.point];
+        const SweepPoint &point = points[ref.point];
+        const PointResult &result = results[ref.point];
+        const unsigned r = ref.run;
+        auto seconds = p.runSeconds;
+        p.runs[r] = pool.submit([&point, r, seconds, &ropts, &result] {
+            const auto t0 = std::chrono::steady_clock::now();
+            std::unique_ptr<obs::PipeTrace> pipe =
+                makePipeTrace(ropts, result.digest, point, r);
+            SimStats stats =
+                measureRun(point.config, r, point.options, pipe.get());
+            if (pipe != nullptr)
+                pipe->finish();
+            (*seconds)[r] = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+            return stats;
+        });
     }
 
     // Pass 2: aggregate in point order, runs in run order — the same

@@ -124,10 +124,35 @@ SweepOutcome runSweep(const ExperimentSpec &spec,
 
 /**
  * Measure explicit points through the scheduler+cache (for bespoke
- * probes that are not grid-shaped). Results are in point order.
+ * probes that are not grid-shaped). Results are in point order; the
+ * rotation runs are queued longest-first (longestFirst()), and each
+ * point still aggregates its runs in run order.
  */
 std::vector<PointResult> runPoints(const std::vector<SweepPoint> &points,
                                    const RunnerOptions &ropts);
+
+/** Cost proxy of one rotation run of `point`: simulated cycles
+ *  (warmup included) times hardware threads. */
+double runCost(const SweepPoint &point);
+
+/** One rotation run of one point: an index into a point list and a
+ *  run number. */
+struct RunRef
+{
+    std::size_t point;
+    unsigned run;
+
+    bool operator==(const RunRef &) const = default;
+};
+
+/**
+ * Every rotation run of `points[i]` for each i in `indices`, ordered by
+ * descending runCost() — so the longest runs start first and the pool
+ * does not end on one long straggler — with ties in (point, run)
+ * order.
+ */
+std::vector<RunRef> longestFirst(const std::vector<SweepPoint> &points,
+                                 const std::vector<std::size_t> &indices);
 
 /**
  * The BENCH_sweep.json artifact body for a set of completed sweeps.

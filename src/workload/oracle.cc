@@ -16,7 +16,9 @@ constexpr std::size_t kMaxLiveEntries = 1u << 21;
 
 ThreadProgram::ThreadProgram(const CodeImage &image, std::uint64_t seed)
     : image_(image), rng_(seed ^ mix64(0x4f5241434cull /* "ORACL" */)),
-      pc_(image.entryPc())
+      pc_(image.entryPc()),
+      loopTripsLeft_(image.numBranchBehaviors(), 0),
+      memInstance_(image.numMemBehaviors(), 0)
 {
 }
 
@@ -59,17 +61,12 @@ ThreadProgram::step()
       case OpClass::CondBranch: {
         const BranchBehavior &bb = image_.branchBehavior(si->annot);
         if (bb.kind == BranchBehavior::Kind::LoopBack) {
-            auto it = loopTripsLeft_.find(si->annot);
-            if (it == loopTripsLeft_.end()) {
-                const std::uint64_t trips =
-                    rng_.range(bb.minTrip, bb.maxTrip);
-                it = loopTripsLeft_.emplace(si->annot, trips).first;
-            }
-            smt_assert(it->second >= 1);
-            --it->second;
-            e.taken = it->second > 0;
-            if (!e.taken)
-                loopTripsLeft_.erase(it);
+            std::uint64_t &left = loopTripsLeft_[si->annot];
+            if (left == 0) // a new trip starts.
+                left = rng_.range(bb.minTrip, bb.maxTrip);
+            smt_assert(left >= 1);
+            --left;
+            e.taken = left > 0;
         } else {
             e.taken = rng_.chance(bb.takenProb);
         }

@@ -15,7 +15,6 @@
 #define SMT_WORKLOAD_ORACLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ring.hh"
@@ -74,8 +73,12 @@ class ThreadProgram
 
     Addr pc_;
     std::vector<Addr> callStack_;
-    std::unordered_map<std::uint32_t, std::uint64_t> loopTripsLeft_;
-    std::unordered_map<std::uint32_t, std::uint64_t> memInstance_;
+    /** Iterations left in the current trip of each loop-back branch,
+     *  by branch annot; 0 while no trip is under way. */
+    std::vector<std::uint64_t> loopTripsLeft_;
+    /** Correct-path accesses so far of each memory instruction, by
+     *  memory annot. */
+    std::vector<std::uint64_t> memInstance_;
 
     // Live entries [base_, base_ + ring_.size()); once the in-flight
     // window hits its high-water mark the oracle allocates nothing more.

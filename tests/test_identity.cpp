@@ -13,10 +13,14 @@
  * {32/32, BIGQ 64/32} x {short, long register pipeline} at 4 threads,
  * plus 1-thread, 8-thread, infinite-functional-unit and one 8-thread
  * point per fetch policy (RR, BRCOUNT, MISSCOUNT, ICOUNT, IQPOSN,
- * ICOUNT+MISSCOUNT). The BRCOUNT, MISSCOUNT and ICOUNT+MISSCOUNT rows
- * were recorded later than the rest, from the two-engine core that
- * preceded the single enum-switched one. On a mismatch the failure
- * message prints the point's measured row in table syntax.
+ * ICOUNT+MISSCOUNT), RR.1.8 at 1 thread, and two points whose
+ * int, load/store and FP unit budgets run out in most cycles. The
+ * BRCOUNT, MISSCOUNT and ICOUNT+MISSCOUNT rows were recorded later
+ * than the rest, from the two-engine core that preceded the single
+ * enum-switched one; the RR.1.8/t1 and starved-unit rows from the
+ * per-cycle rescan of every waiting entry that preceded parked queue
+ * entries. On a mismatch the failure message prints the point's
+ * measured row in table syntax.
  */
 
 #include <gtest/gtest.h>
@@ -109,6 +113,9 @@ const Expected kExpected[] = {
     {"brcount28/t8", "85558ffc73d415843867df8dc1212bf3", 59508, 70051, 4414, 633374, 37952},
     {"misscount28/t8", "fa6b0a9394ded19ac91e87d61dd3964b", 58334, 68794, 4418, 627924, 38689},
     {"icountmisscount28/t8", "d6f07873fd239498edaef3327c57cbde", 58423, 69013, 4387, 634448, 40058},
+    {"rr18/t1", "4234a5882597ba30673cb663edd79ca0", 37372, 53717, 11686, 814165, 22696},
+    {"icount28/fu2ls1/t8", "31efff56f945d690776886cd01454738", 47015, 49677, 1508, 434769, 403047},
+    {"BRANCH_FIRST/fu2ls1/t4", "5f591b3bff2b4ba09a6a7b12d95717f4", 46474, 48349, 936, 364292, 393086},
 };
 // clang-format on
 
@@ -171,6 +178,22 @@ identityGrid()
     SmtConfig inf = presets::icount28(8);
     inf.infiniteFunctionalUnits = true;
     grid.push_back({"icount28/inffu/t8", inf});
+    grid.push_back({"rr18/t1", presets::baseSmt(1)});
+    // Unit budgets that run out in most cycles, so the stall ledger's
+    // split between operand waits and busy units is exercised at every
+    // exhaustion key (int, load/store, FP).
+    const std::pair<const char *, IssuePolicy> starved_points[] = {
+        {"icount28/fu2ls1/t8", IssuePolicy::OldestFirst},
+        {"BRANCH_FIRST/fu2ls1/t4", IssuePolicy::BranchFirst},
+    };
+    for (const auto &[name, ip] : starved_points) {
+        SmtConfig cfg = presets::icount28(name[0] == 'B' ? 4 : 8);
+        cfg.issuePolicy = ip;
+        cfg.intUnits = 2;
+        cfg.loadStoreUnits = 1;
+        cfg.fpUnits = 1;
+        grid.push_back({name, cfg});
+    }
     return grid;
 }
 

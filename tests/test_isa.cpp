@@ -28,12 +28,6 @@ TEST(Latency, MatchesTable1)
     EXPECT_EQ(opLatency(OpClass::Load), 1u);
 }
 
-TEST(Latency, FullyPipelinedUnits)
-{
-    for (unsigned c = 0; c < kNumOpClasses; ++c)
-        EXPECT_EQ(opIssueOccupancy(static_cast<OpClass>(c)), 1u);
-}
-
 TEST(OpClass, ControlPredicates)
 {
     EXPECT_TRUE(isControl(OpClass::CondBranch));

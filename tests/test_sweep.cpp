@@ -487,6 +487,62 @@ TEST(Runner, DuplicatePointsAreMeasuredOnce)
               toJson(results[1].data.stats).dump());
 }
 
+/** A tiny point at `threads` threads with `cycles` measured cycles. */
+SweepPoint
+tinyPoint(const std::string &label, unsigned threads, std::uint64_t cycles)
+{
+    SweepPoint point;
+    point.label = label;
+    point.threads = threads;
+    point.config = presets::baseSmt(threads);
+    point.options = tinyOptions();
+    point.options.cyclesPerRun = cycles;
+    return point;
+}
+
+TEST(Runner, LongestRunsAreQueuedFirst)
+{
+    // Cost = (warmup + measured cycles) x threads: 1500, 6000, 3000 and
+    // 6000 (a tie with point 1, which keeps grid order).
+    const std::vector<SweepPoint> points = {
+        tinyPoint("a", 1, 1200), tinyPoint("b", 4, 1200),
+        tinyPoint("c", 2, 1200), tinyPoint("d", 1, 5700)};
+    EXPECT_EQ(runCost(points[0]), 1500.0);
+    EXPECT_EQ(runCost(points[1]), 6000.0);
+    const std::vector<RunRef> order = longestFirst(points, {0, 1, 2, 3});
+    const std::vector<RunRef> expected = {{1, 0}, {1, 1}, {3, 0}, {3, 1},
+                                          {2, 0}, {2, 1}, {0, 0}, {0, 1}};
+    EXPECT_EQ(order, expected);
+    // Only the listed points are scheduled.
+    const std::vector<RunRef> some = longestFirst(points, {0, 2});
+    const std::vector<RunRef> some_expected = {{2, 0}, {2, 1}, {0, 0},
+                                               {0, 1}};
+    EXPECT_EQ(some, some_expected);
+}
+
+TEST(Runner, StatsDoNotDependOnTheRunSchedule)
+{
+    // Longest-first queues these runs far from grid order; every
+    // point's aggregate must still equal a serial, in-order run.
+    const std::vector<SweepPoint> points = {
+        tinyPoint("t1", 1, 1200), tinyPoint("t4", 4, 1200),
+        tinyPoint("t2", 2, 1200), tinyPoint("t1-long", 1, 2400)};
+    RunnerOptions parallel_opts;
+    parallel_opts.measure = tinyOptions();
+    RunnerOptions serial_opts = parallel_opts;
+    serial_opts.measure.parallel = false;
+    const std::vector<PointResult> p = runPoints(points, parallel_opts);
+    const std::vector<PointResult> s = runPoints(points, serial_opts);
+    ASSERT_EQ(p.size(), points.size());
+    ASSERT_EQ(s.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(p[i].point.label, points[i].label);
+        EXPECT_EQ(toJson(p[i].data.stats).dump(),
+                  toJson(s[i].data.stats).dump())
+            << points[i].label;
+    }
+}
+
 TEST(Runner, SweepForAndAtIndexTheGrid)
 {
     const NamedExperiment *smoke = findExperiment("smoke");
